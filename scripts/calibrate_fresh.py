@@ -16,14 +16,8 @@ from fractions import Fraction
 
 from dyncolor.config import Config
 from dyncolor.engine import Engine
-from dyncolor.fresh import verify_fresh_properties
-from dyncolor.instances import mixed_graph, planted_clique_graph, random_sparse_graph
-
-
-def families(n: int, delta: int, seed: int):
-    yield "planted", planted_clique_graph(n, delta, seed)[0]
-    yield "random-sparse", random_sparse_graph(n, delta, avg_deg=6.0, seed=seed)
-    yield "mixed", mixed_graph(n, delta, seed)[0]
+from dyncolor.instances import families
+from dyncolor.verify import verify_fresh_properties
 
 
 def main() -> None:
@@ -37,7 +31,7 @@ def main() -> None:
             for fam, edges in families(n, delta, seed):
                 eng = Engine(
                     n, delta, cfg_proto, seed=10_000 + seed, mode="phased",
-                    verify="phase", initial_edges=edges,
+                    strict=True, initial_edges=edges,
                     certify_decomposition=False,
                 )
                 rep = eng.fresh_reports[-1]

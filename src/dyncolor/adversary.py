@@ -52,9 +52,6 @@ class AdversaryView:
     def color_of(self, v: int) -> int | None:
         return self._engine.state.phi[v]
 
-    def matched_partner(self, v: int) -> int | None:
-        return self._engine.state.matched[v]
-
     def degree(self, v: int) -> int:
         return self._engine.g.degree(v)
 
@@ -75,10 +72,10 @@ class AdversaryView:
         ]
 
     def random_edge(self, rng: random.Random) -> tuple[int, int] | None:
-        edges = self._engine.g._edges
-        if not edges:
+        g = self._engine.g
+        if not g.edge_count:
             return None
-        return edges[rng.randrange(len(edges))]
+        return g.edge_at(rng.randrange(g.edge_count))
 
 
 class DecompositionView:
@@ -94,9 +91,6 @@ class DecompositionView:
 
     def clique_count(self) -> int:
         return len(self._engine.decomp.cliques)
-
-    def part_of(self, v: int) -> int | None:
-        return self._engine.decomp.part[v]
 
     def members(self, ci: int) -> tuple[int, ...]:
         return tuple(sorted(self._engine.decomp.cliques[ci].members))
@@ -223,6 +217,25 @@ def matching_attacker(
     return conflict_adversary(view, rng)
 
 
+def adversary_stream(kind: str, eng: Engine, steps: int, seed: int) -> Iterator[Update]:
+    """steps updates from the named adversary against eng.
+
+    The oblivious walk (density 0.5) is drawn from seed up front; the
+    adaptive adversaries draw from random.Random(seed), one update per
+    step, each after the engine has applied the previous one.
+    """
+    if kind == "oblivious":
+        return iter(oblivious_adversary(eng.g.n, eng.g.delta_cap, steps, 0.5, seed))
+    rng = random.Random(seed)
+    view = AdversaryView(eng)
+    if kind == "conflict":
+        return (conflict_adversary(view, rng) for _ in range(steps))
+    if kind == "matching":
+        dview = DecompositionView(eng)
+        return (matching_attacker(view, dview, rng) for _ in range(steps))
+    raise ValueError(f"unknown adversary {kind!r}")
+
+
 def _random_insertion(view: AdversaryView, rng: random.Random) -> Update:
     cap = view.delta_cap
     for _ in range(10000):
@@ -244,10 +257,15 @@ def record_trace(path: str, n: int, delta: int, stream: Iterable[Update]) -> Non
 
 
 class TraceReader:
-    """Header-parsed trace whose updates stream lazily from disk."""
+    """Header-parsed trace whose updates stream lazily from disk.
+
+    lineno is the line of the update yielded last, so a caller can place
+    an update the engine rejects.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self.lineno = 1
         with open(path) as f:
             header = f.readline()
         parts = header.split()
@@ -264,6 +282,7 @@ class TraceReader:
         with open(self.path) as f:
             f.readline()
             for lineno, line in enumerate(f, start=2):
+                self.lineno = lineno
                 parts = line.split()
                 if not parts:
                     continue

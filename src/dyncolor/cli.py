@@ -22,7 +22,9 @@ import numpy as np
 
 from . import adversary as adv
 from .config import Config, auto_zeta
-from .engine import Engine, EngineFailure, Update
+from .drive import drive
+from .engine import CostMeter, Engine, EngineFailure, InlierPaletteEmpty
+from .graph import GraphError
 from .report import summarize
 
 METRICS_SCHEMA = "dyncolor-metrics/1"
@@ -47,7 +49,10 @@ def resolve_seed(seed: int | None) -> int:
         return seed
     env = os.environ.get("COLOR_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"COLOR_SEED must be an integer, got {env!r}") from None
     return 0
 
 
@@ -79,7 +84,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("steps must be >= 0")
     seed = resolve_seed(args.seed)
-    stream = adv.oblivious_adversary(args.n, args.delta, args.steps, args.density, seed)
+    try:
+        stream = adv.oblivious_adversary(args.n, args.delta, args.steps, args.density, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     adv.record_trace(args.out, args.n, args.delta, stream)
     print(f"wrote {len(stream)} updates to {args.out}")
     return EXIT_OK
@@ -123,65 +131,21 @@ def run_engine(
         cfg,
         seed=seed,
         mode=mode,
-        verify="off" if verify == "off" else "phase",
+        strict=verify != "off",
         initial_edges=initial_edges,
         certify_decomposition=certify,
     )
     if reset_meter:
-        from .engine import CostMeter
-
         eng.meter = CostMeter()
-    view = adv.AdversaryView(eng)
-    dview = adv.DecompositionView(eng)
-    arng = None
-    if adversary is not None:
-        import random as _random
-
-        arng = _random.Random(seed ^ 0x5EED)
-
-    trials: list[int] = []
-    scans: list[int] = []
-    probes: list[int] = []
-    violations = []
-    applied = 0
-    last_fresh = eng.meter.fresh_runs
-
-    def sweep() -> None:
-        nonlocal violations
-        violations += eng.verify_now()
-
-    def step(upd: Update) -> None:
-        nonlocal applied, last_fresh
-        rep = eng.apply(upd)
-        applied += 1
-        trials.append(rep.color_trials)
-        scans.append(rep.class_scans)
-        probes.append(rep.palette_probes)
-        if verify == "every":
-            sweep()
-        elif verify == "phase" and eng.meter.fresh_runs != last_fresh:
-            sweep()
-        last_fresh = eng.meter.fresh_runs
-
-    if updates is not None:
-        for upd in updates:
-            step(upd)
-    else:
-        gens = {
-            "conflict": lambda: adv.conflict_adversary(view, arng),
-            "matching": lambda: adv.matching_attacker(view, dview, arng),
-        }
-        if adversary == "oblivious":
-            for upd in adv.oblivious_adversary(n, delta, steps, 0.5, seed ^ 0x5EED):
-                step(upd)
-        elif adversary in gens:
-            for _ in range(steps):
-                step(gens[adversary]())
-        else:
-            raise UsageError(f"unknown adversary {adversary!r}")
-
-    if verify != "off":
-        sweep()
+    if updates is None:
+        updates = adv.adversary_stream(adversary, eng, steps, seed ^ 0x5EED)
+    res = drive(
+        eng,
+        updates,
+        sweep_every=1 if verify == "every" else 0,
+        sweep_after_rebuild=verify == "phase",
+    )
+    applied, violations = res.applied, res.violations
     wall = time.perf_counter() - t0
 
     m = eng.meter
@@ -208,9 +172,9 @@ def run_engine(
             "total_ops": m.total_ops(),
         },
         "per_update": {
-            "color_trials": _aggregate(trials),
-            "class_scans": _aggregate(scans),
-            "palette_probes": _aggregate(probes),
+            "color_trials": _aggregate([r.color_trials for r in res.reports]),
+            "class_scans": _aggregate([r.class_scans for r in res.reports]),
+            "palette_probes": _aggregate([r.palette_probes for r in res.reports]),
         },
         "amortized_ops": m.total_ops() / max(1, applied),
         "amortized_trials": m.color_trials / max(1, applied),
@@ -240,21 +204,32 @@ def cmd_run(args: argparse.Namespace) -> int:
         updates, adversary = None, args.adversary
     if delta < 1 or delta > n - 1:
         raise UsageError("need 1 <= delta <= n-1")
+    if args.steps < 0:
+        raise UsageError("steps must be >= 0")
 
-    eps, eps_origin = resolve_epsilon(delta, args.epsilon)
-    zeta = resolve_zeta(n, args.zeta)
-    cfg = Config(epsilon=eps, zeta=zeta, gamma=Fraction(args.gamma))
-    doc = run_engine(
-        n=n,
-        delta=delta,
-        cfg=cfg,
-        seed=seed,
-        mode=args.mode,
-        verify=args.verify,
-        updates=updates,
-        adversary=adversary,
-        steps=args.steps,
-    )
+    try:
+        eps, eps_origin = resolve_epsilon(delta, args.epsilon)
+        zeta = resolve_zeta(n, args.zeta)
+        cfg = Config(epsilon=eps, zeta=zeta, gamma=Fraction(args.gamma))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(str(exc)) from None
+    try:
+        doc = run_engine(
+            n=n,
+            delta=delta,
+            cfg=cfg,
+            seed=seed,
+            mode=args.mode,
+            verify=args.verify,
+            updates=updates,
+            adversary=adversary,
+            steps=args.steps,
+        )
+    except GraphError as exc:
+        if args.trace is None:
+            raise
+        # the update the engine rejected is the one the reader yielded last
+        raise adv.ParseError(reader.path, reader.lineno, str(exc)) from None
     doc["header"]["epsilon_origin"] = eps_origin
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -313,9 +288,14 @@ def fit_slope(rows: list[dict]) -> float:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
-    if not grid:
-        raise UsageError("empty --n-grid")
+    try:
+        grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"bad --n-grid {args.n_grid!r}") from None
+    if len(set(grid)) < 2 or min(grid) < 4:
+        raise UsageError("--n-grid needs two distinct sizes, each >= 4")
+    if args.reps < 1 or args.steps < 1:
+        raise UsageError("need --reps >= 1 and --steps >= 1")
     seed = resolve_seed(args.seed)
     rows: list[dict] = []
     for kind in ("phased", "naive"):
@@ -431,7 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     except adv.ParseError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EngineFailure as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (EngineFailure, InlierPaletteEmpty) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 

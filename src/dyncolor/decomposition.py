@@ -25,10 +25,6 @@ class DecompositionFailed(Exception):
     pass
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
-
-
 # ---------------------------------------------------------------------------
 # sparsity
 
@@ -104,9 +100,6 @@ class Decomposition:
         self.ext: dict[int, set[int]] = {}
         self.anti: dict[int, set[int]] = {}
 
-    def in_sparse(self, v: int) -> bool:
-        return self.part[v] is None
-
     def clique_of(self, v: int) -> Clique | None:
         i = self.part[v]
         return None if i is None else self.cliques[i]
@@ -165,20 +158,6 @@ class Decomposition:
                 self.ext[v].discard(u)
                 self.cliques[iv].sum_ext -= 1
 
-    def to_dict(self) -> dict:
-        return {
-            "S": sorted(self.sparse_vertices),
-            "cliques": [
-                {
-                    "members": sorted(c.members),
-                    "a_D": str(c.avg_anti),
-                    "e_D": str(c.avg_ext),
-                    "inliers": sorted(c.inliers),
-                }
-                for c in self.cliques
-            ],
-        }
-
 
 def trivial_decomposition(n: int) -> Decomposition:
     """All vertices sparser; used when the dense path is inactive."""
@@ -203,8 +182,8 @@ def compute_acd(
     """
     d = g.delta_cap
     eps = cfg.epsilon
-    deg_floor = _ceil_frac((1 - eps) * d)
-    sim_floor = _ceil_frac((1 - 2 * eps) * d)
+    deg_floor = math.ceil((1 - eps) * d)
+    sim_floor = math.ceil((1 - 2 * eps) * d)
 
     core = [v for v in range(1, g.n + 1) if g.degree(v) >= deg_floor]
     candidates: list[set[int]] = []
@@ -326,7 +305,7 @@ def validate_decomposition(
     out: list[Violation] = []
     cap = g.delta_cap
     eps = cfg.epsilon
-    deg_floor = _ceil_frac((1 - eps) * cap)
+    deg_floor = math.ceil((1 - eps) * cap)
     size_cap = math.floor((1 + eps) * cap)
     threshold = cfg.dissolve_threshold()
 

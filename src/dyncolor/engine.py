@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fresh as fresh_mod
 from .config import Config
@@ -25,6 +25,9 @@ from .decomposition import (
 )
 from .graph import DynamicGraph
 from .state import ColoringState
+
+# fresh colorings tried per phase start before the engine gives up
+FRESH_RETRIES = 2
 
 
 class PhaseRestart(Exception):
@@ -56,7 +59,7 @@ class CostMeter:
         return (self.color_trials, self.class_scans, self.palette_probes, self.recolorings)
 
 
-@dataclass
+@dataclass(slots=True)
 class CostReport:
     color_trials: int
     class_scans: int
@@ -64,10 +67,8 @@ class CostReport:
     recolorings: int
     sparse_recolors: int
     steals: int
-
-    @property
-    def total_ops(self) -> int:
-        return self.color_trials + self.class_scans + self.palette_probes + self.recolorings
+    # a retry cap tripped and the phase was recolored inside this update
+    restarted: bool = False
 
 
 @dataclass
@@ -95,18 +96,17 @@ class Engine:
         cfg: Config,
         seed: int,
         mode: str = "auto",
-        verify: str = "off",
+        strict: bool = False,
         initial_edges: list[tuple[int, int]] | None = None,
         certify_decomposition: bool | None = None,
-        fresh_retries: int = 2,
     ) -> None:
         self.cfg = cfg
         self.g = DynamicGraph(n, delta_cap)
         self.rng = random.Random(seed)
         self.seed = seed
-        self.fresh_retries = fresh_retries
-        self.verify = verify
-        self.strict = verify != "off"
+        # strict mode raises on a broken invariant instead of restarting the
+        # phase, and fills the fresh reports' slack and class-size figures
+        self.strict = strict
         if mode == "auto":
             mode = "phased" if cfg.dense_path_active(delta_cap) else "naive"
         if mode not in ("phased", "naive"):
@@ -146,7 +146,7 @@ class Engine:
         self._set_caps()
         before = self.meter.total_ops()
         last_err: Exception | None = None
-        for attempt in range(self.fresh_retries + 1):
+        for attempt in range(FRESH_RETRIES + 1):
             self.state = ColoringState(self.g.n, self.g.delta_cap + 1, self.decomp)
             try:
                 report = fresh_mod.fresh_coloring(self)
@@ -184,6 +184,7 @@ class Engine:
         before = self.meter.snapshot()
         self._update_sparse_recolors = 0
         self._update_steals = 0
+        restarted = False
         try:
             if update.op == "+":
                 self._handle_insert(update.u, update.v)
@@ -193,6 +194,7 @@ class Engine:
                 raise ValueError(f"unknown op {update.op!r}")
         except PhaseRestart:
             self.meter.restarts += 1
+            restarted = True
             self._start_phase()
         self.phase.counter += 1
         self.updates_applied += 1
@@ -201,6 +203,7 @@ class Engine:
             *(a - b for a, b in zip(after, before)),
             sparse_recolors=self._update_sparse_recolors,
             steals=self._update_steals,
+            restarted=restarted,
         )
 
     def snapshot(self) -> dict:
@@ -312,7 +315,7 @@ class Engine:
         part = self.decomp.part
         adj_v = self.g.adj[v]
         w: int | None = None
-        for u in sorted(st.classes[chi]):
+        for u in st.classes[chi]:
             self.meter.class_scans += 1
             if u in adj_v:
                 if part[u] is None:
@@ -353,7 +356,7 @@ class Engine:
             return False
         adj_v = self.g.adj[v]
         part = self.decomp.part
-        for u in sorted(st.classes[chi]):
+        for u in st.classes[chi]:
             self.meter.class_scans += 1
             if u in adj_v and not (part[u] == ci and self.decomp.is_inlier(u)):
                 return False
@@ -411,7 +414,7 @@ class Engine:
         if chi in st.redundant[ci]:
             return False
         ext_u, ext_v = self.decomp.ext[u], self.decomp.ext[v]
-        for w in sorted(st.classes[chi]):
+        for w in st.classes[chi]:
             self.meter.class_scans += 1
             if w in ext_u or w in ext_v:
                 return False

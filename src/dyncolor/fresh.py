@@ -10,15 +10,8 @@ from the clique palette.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
-
-from .config import Config
-from .decomposition import Decomposition
-from .graph import DynamicGraph
-from .report import Violation
-from .state import ColoringState
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -38,14 +31,7 @@ class FreshReport:
     max_sparse_class: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "trial_count": self.trial_count,
-            "sparse_trials": self.sparse_trials,
-            "one_shot_colored": self.one_shot_colored,
-            "matching_sizes": self.matching_sizes,
-            "min_sparse_slack": self.min_sparse_slack,
-            "max_sparse_class": self.max_sparse_class,
-        }
+        return asdict(self)
 
 
 def fresh_coloring(eng: "Engine") -> FreshReport:
@@ -85,7 +71,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
         one_shot_colored=colored,
         matching_sizes=[st.matching_size(c.index) for c in eng.decomp.cliques],
     )
-    if eng.verify != "off":
+    if eng.strict:
         report.min_sparse_slack = min(
             (len(st.sparse_palette(eng.g, v)) for v in sparse), default=None
         )
@@ -112,7 +98,7 @@ def one_shot_coloring(eng: "Engine") -> int:
             st.set_color(v, eng.rng.randint(1, st.num_colors))
     conflicted: set[int] = set()
     for chi in range(1, st.num_colors + 1):
-        members = sorted(st.classes[chi])
+        members = list(st.classes[chi])
         for i, u in enumerate(members):
             adj_u = g.adj[u]
             for v in members[i + 1 :]:
@@ -139,7 +125,7 @@ def color_dense(eng: "Engine", v: int) -> None:
         eng.meter.color_trials += 1
         chi = palette.sample(eng.rng)
         ok = True
-        for u in sorted(st.classes[chi]):
+        for u in st.classes[chi]:
             eng.meter.class_scans += 1
             if u in adj_v:
                 ok = False
@@ -148,45 +134,3 @@ def color_dense(eng: "Engine", v: int) -> None:
             eng._color(v, chi)
             return
     raise FreshFailed(f"retry cap in clique {ci} while coloring {v}")
-
-
-def verify_fresh_properties(
-    g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
-) -> list[Violation]:
-    """Slack, balance and matching checks on a completed fresh coloring."""
-    out: list[Violation] = []
-    slack_floor = cfg.slack_coeff * cfg.gamma * cfg.zeta
-    for v in range(1, g.n + 1):
-        if decomp.part[v] is None:
-            slack = len(state.sparse_palette(g, v))
-            if slack < slack_floor:
-                out.append(
-                    Violation("sparse-slack", f"v={v}", f"{slack} < {slack_floor}")
-                )
-    class_cap = cfg.c_bal * (
-        Fraction(g.n, cfg.zeta) + Fraction(math.ceil(math.log2(max(2, g.n))))
-    )
-    for chi in range(1, state.num_colors + 1):
-        size = sum(1 for v in state.classes[chi] if decomp.part[v] is None)
-        if size > class_cap:
-            out.append(Violation("sparse-balance", f"chi={chi}", f"{size} > {class_cap}"))
-    for c in decomp.cliques:
-        for chi, holders in state.clique_classes[c.index].items():
-            if len(holders) > 2:
-                out.append(
-                    Violation(
-                        "dense-balance",
-                        f"clique={c.index},chi={chi}",
-                        f"{len(holders)} holders",
-                    )
-                )
-        target = c.matching_target()
-        if state.matching_size(c.index) < target:
-            out.append(
-                Violation(
-                    "matching",
-                    f"clique={c.index}",
-                    f"|M_D|={state.matching_size(c.index)} < {target}",
-                )
-            )
-    return out

@@ -21,17 +21,18 @@ class DegreeCapExceeded(GraphError):
     pass
 
 
-def _key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+class VertexOutOfRange(GraphError, ValueError):
+    pass
 
 
 class DynamicGraph:
     """Adjacency-set graph; updates are rejected rather than clamped.
 
-    Besides the per-vertex adjacency sets, a flat edge list with a
-    position index is maintained so edges can be enumerated (and the
-    whole edge set scanned by the verifier) without touching the
-    adjacency structure.
+    Besides the per-vertex adjacency sets, every edge (u, v) with u < v
+    sits in one slot of the flat arrays _eu/_ev, found through a position
+    map keyed by u*(n+1)+v, so edges can be enumerated and sampled (and
+    the whole edge set scanned by the verifier) without touching the
+    adjacency structure.  Deletion moves the last slot into the hole.
     """
 
     def __init__(self, n: int, delta_cap: int) -> None:
@@ -42,17 +43,19 @@ class DynamicGraph:
         self.n = n
         self.delta_cap = delta_cap
         self.adj: list[set[int]] = [set() for _ in range(n + 1)]
-        self.edge_count = 0
-        self._edges: list[tuple[int, int]] = []
-        self._edge_pos: dict[tuple[int, int], int] = {}
-        # flat copies of the edge list; zero-copy viewable as numpy arrays
-        # so the verifier can sweep propriety without a python loop
+        # zero-copy viewable as numpy arrays so the verifier can sweep
+        # propriety without a python loop
         self._eu = array("i")
         self._ev = array("i")
+        self._pos: dict[int, int] = {}
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} outside [1, {self.n}]")
+            raise VertexOutOfRange(f"vertex {v} outside [1, {self.n}]")
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._eu)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -60,12 +63,13 @@ class DynamicGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
-        """Live edges as (min, max) pairs, unspecified order."""
-        return list(self._edges)
+        """Live edges as (min, max) pairs, in slot order."""
+        return list(zip(self._eu, self._ev))
+
+    def edge_at(self, i: int) -> tuple[int, int]:
+        """The edge in slot i, 0 <= i < edge_count, as a (min, max) pair."""
+        return self._eu[i], self._ev[i]
 
     def insert_edge(self, u: int, v: int) -> None:
         self._check_vertex(u)
@@ -80,12 +84,11 @@ class DynamicGraph:
             )
         self.adj[u].add(v)
         self.adj[v].add(u)
-        k = _key(u, v)
-        self._edge_pos[k] = len(self._edges)
-        self._edges.append(k)
-        self._eu.append(k[0])
-        self._ev.append(k[1])
-        self.edge_count += 1
+        if u > v:
+            u, v = v, u
+        self._pos[u * (self.n + 1) + v] = len(self._eu)
+        self._eu.append(u)
+        self._ev.append(v)
 
     def delete_edge(self, u: int, v: int) -> None:
         self._check_vertex(u)
@@ -94,36 +97,37 @@ class DynamicGraph:
             raise MissingEdge(f"edge {{{u},{v}}} not present")
         self.adj[u].discard(v)
         self.adj[v].discard(u)
-        k = _key(u, v)
-        i = self._edge_pos.pop(k)
-        last = self._edges.pop()
-        self._eu.pop()
-        self._ev.pop()
-        if last != k:
-            self._edges[i] = last
-            self._eu[i] = last[0]
-            self._ev[i] = last[1]
-            self._edge_pos[last] = i
-        self.edge_count -= 1
+        if u > v:
+            u, v = v, u
+        n1 = self.n + 1
+        i = self._pos.pop(u * n1 + v)
+        lu = self._eu.pop()
+        lv = self._ev.pop()
+        if i < len(self._eu):
+            self._eu[i] = lu
+            self._ev[i] = lv
+            self._pos[lu * n1 + lv] = i
 
     def copy(self) -> "DynamicGraph":
         g = DynamicGraph(self.n, self.delta_cap)
         g.adj = [set(s) for s in self.adj]
-        g.edge_count = self.edge_count
-        g._edges = list(self._edges)
-        g._edge_pos = dict(self._edge_pos)
         g._eu = array("i", self._eu)
         g._ev = array("i", self._ev)
+        g._pos = dict(self._pos)
         return g
 
     def assert_consistent(self) -> None:
-        """Debug check: symmetry, no self-loops, cap, edge-list agreement."""
+        """Debug check: symmetry, no self-loops, cap, slot/adjacency agreement."""
         seen = set()
         for v in range(1, self.n + 1):
             assert len(self.adj[v]) <= self.delta_cap, f"degree cap broken at {v}"
             for u in self.adj[v]:
                 assert u != v, f"self-loop at {v}"
                 assert v in self.adj[u], f"asymmetry {u}-{v}"
-                seen.add(_key(u, v))
-        assert seen == set(self._edges), "edge list out of sync"
-        assert self.edge_count == len(self._edges)
+                seen.add((min(u, v), max(u, v)))
+        edges = self.edges()
+        assert len(edges) == len(seen) and set(edges) == seen, "edge slots out of sync"
+        assert all(u < v for u, v in edges), "edge slot not (min, max)"
+        assert self._pos == {
+            u * (self.n + 1) + v: i for i, (u, v) in enumerate(edges)
+        }, "position map out of sync"

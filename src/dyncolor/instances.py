@@ -141,6 +141,13 @@ def mixed_graph(
     )
 
 
+def families(n: int, delta_cap: int, seed: int):
+    """(name, edges) for the planted, random-sparse and mixed families."""
+    yield "planted", planted_clique_graph(n, delta_cap, seed)[0]
+    yield "random-sparse", random_sparse_graph(n, delta_cap, avg_deg=6.0, seed=seed)
+    yield "mixed", mixed_graph(n, delta_cap, seed)[0]
+
+
 def fuzz_graph(n: int, seed: int) -> tuple[list[tuple[int, int]], int]:
     """Small arbitrary graph for oracle fuzzing: random density and cap."""
     rng = random.Random(seed)

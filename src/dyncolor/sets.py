@@ -46,11 +46,7 @@ class SampleSet:
         if i is None:
             return
         last = self._items.pop()
-        if last is not x and last != x:
-            self._items[i] = last
-            self._pos[last] = i
-        elif i < len(self._items):
-            # x was not in the last slot but compared equal to it
+        if i < len(self._items):
             self._items[i] = last
             self._pos[last] = i
 

@@ -84,9 +84,6 @@ class ColoringState:
 
     # -- derived queries ----------------------------------------------------
 
-    def color_of(self, v: int) -> int | None:
-        return self.phi[v]
-
     def matching_size(self, ci: int) -> int:
         return len(self.redundant[ci])
 

@@ -109,35 +109,82 @@ def check_view_consistency(
     return out
 
 
+def check_sparse_slack(
+    g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
+) -> list[Violation]:
+    """Every sparser vertex keeps slack_coeff*gamma*zeta colors unused by
+    its sparser neighbors."""
+    out: list[Violation] = []
+    slack_floor = cfg.slack_coeff * cfg.gamma * cfg.zeta
+    for v in range(1, g.n + 1):
+        if decomp.part[v] is None:
+            slack = len(state.sparse_palette(g, v))
+            if slack < slack_floor:
+                out.append(Violation("sparse-slack", f"v={v}", f"{slack} < {slack_floor}"))
+    return out
+
+
+def check_balance(
+    state: ColoringState,
+    decomp: Decomposition,
+    cfg: Config,
+    phase_elapsed: int,
+) -> list[Violation]:
+    """Mid-phase color-class size bound for the sparse part."""
+    out: list[Violation] = []
+    n = state.n
+    cap = cfg.c_bal * (
+        Fraction(n, cfg.zeta)
+        + Fraction(phase_elapsed, cfg.zeta)
+        + Fraction(math.ceil(math.log2(max(2, n))))
+    )
+    for chi in range(1, state.num_colors + 1):
+        sparse_size = sum(1 for v in state.classes[chi] if decomp.part[v] is None)
+        if sparse_size > cap:
+            out.append(Violation("sparse-balance", f"chi={chi}", f"{sparse_size} > {cap}"))
+    return out
+
+
+def check_dense_balance(decomp: Decomposition, state: ColoringState) -> list[Violation]:
+    """No color has more than two holders inside one clique."""
+    return [
+        Violation("dense-balance", f"clique={c.index},chi={chi}", f"{len(holders)} holders")
+        for c in decomp.cliques
+        for chi, holders in state.clique_classes[c.index].items()
+        if len(holders) > 2
+    ]
+
+
+def check_matching(decomp: Decomposition, state: ColoringState) -> list[Violation]:
+    """Every clique's colorful matching reaches floor(8*a_D)."""
+    return [
+        Violation(
+            "matching",
+            f"clique={c.index}",
+            f"|M_D|={state.matching_size(c.index)} < floor(8a_D)={c.matching_target()}",
+        )
+        for c in decomp.cliques
+        if state.matching_size(c.index) < c.matching_target()
+    ]
+
+
+def verify_fresh_properties(
+    g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
+) -> list[Violation]:
+    """Slack, balance and matching checks on a completed fresh coloring."""
+    return (
+        check_sparse_slack(g, decomp, state, cfg)
+        + check_balance(state, decomp, cfg, phase_elapsed=0)
+        + check_dense_balance(decomp, state)
+        + check_matching(decomp, state)
+    )
+
+
 def check_invariants(
     g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
 ) -> list[Violation]:
     """Dense Balance, Matching, matched-array sanity, accounting bound."""
-    out: list[Violation] = []
-    for c in decomp.cliques:
-        ci = c.index
-        for chi, holders in state.clique_classes[ci].items():
-            if len(holders) > 2:
-                out.append(
-                    Violation(
-                        "dense-balance",
-                        f"clique={ci},chi={chi}",
-                        f"{len(holders)} holders",
-                    )
-                )
-        target = c.matching_target()
-        if state.matching_size(ci) < target:
-            out.append(
-                Violation(
-                    "matching",
-                    f"clique={ci}",
-                    f"|M_D|={state.matching_size(ci)} < floor(8a_D)={target}",
-                )
-            )
-        # redundant set must be exactly the multiplicity->=2 colors
-        truth = {chi for chi, h in state.clique_classes[ci].items() if len(h) >= 2}
-        if state.redundant[ci] != truth:
-            out.append(Violation("view-consistency", f"clique={ci}", "M_D drift"))
+    out = check_dense_balance(decomp, state) + check_matching(decomp, state)
 
     for u in range(1, g.n + 1):
         w = state.matched[u]
@@ -170,33 +217,6 @@ def check_invariants(
             if lhs < bound:
                 out.append(
                     Violation("accounting", f"v={v}", f"|L(D) cap L(v)|={lhs} < {bound}")
-                )
-    return out
-
-
-def check_balance(
-    state: ColoringState,
-    decomp: Decomposition,
-    cfg: Config,
-    phase_elapsed: int,
-) -> list[Violation]:
-    """Mid-phase color-class size bound for the sparse part, plus the
-    two-per-clique cap."""
-    out: list[Violation] = []
-    n = state.n
-    cap = cfg.c_bal * (
-        Fraction(n, cfg.zeta)
-        + Fraction(phase_elapsed, cfg.zeta)
-        + Fraction(math.ceil(math.log2(max(2, n))))
-    )
-    for chi in range(1, state.num_colors + 1):
-        sparse_size = sum(1 for v in state.classes[chi] if decomp.part[v] is None)
-        if sparse_size > cap:
-            out.append(Violation("balance", f"chi={chi}", f"{sparse_size} > {cap}"))
-        for c in decomp.cliques:
-            if len(state.clique_classes[c.index].get(chi, ())) > 2:
-                out.append(
-                    Violation("balance", f"chi={chi},clique={c.index}", "over 2 holders")
                 )
     return out
 

@@ -36,7 +36,7 @@ def planted_engine(
     delta: int = 80,
     clique_size: int = 78,
     anti: int = 30,
-    verify: str = "full",
+    strict: bool = True,
     zeta: int = 1,
 ):
     """Engine over one planted near-clique plus sparse noise; phased mode."""
@@ -57,7 +57,7 @@ def planted_engine(
         dense_cfg(zeta),
         seed=seed,
         mode="phased",
-        verify=verify,
+        strict=strict,
         initial_edges=edges,
     )
     return eng, planted

@@ -28,20 +28,16 @@ from dyncolor.decomposition import (
     refine_to_sparser_denser,
     sparsity,
 )
+from dyncolor.drive import drive
 from dyncolor.engine import Engine
-from dyncolor.fresh import verify_fresh_properties
 from dyncolor.graph import DynamicGraph
-from dyncolor.instances import (
-    fuzz_graph,
-    mixed_graph,
-    planted_clique_graph,
-    random_sparse_graph,
-)
+from dyncolor.instances import families, fuzz_graph, planted_clique_graph
 from dyncolor.state import ColoringState
 from dyncolor.verify import (
     brute_clique_palette,
     brute_force_sparsity,
     brute_sparse_palette,
+    verify_fresh_properties,
 )
 
 SEED = 1000
@@ -72,42 +68,20 @@ def _drive(
     initial_edges=None,
 ) -> dict:
     """One metered adversary run with periodic full invariant sweeps."""
-    eng = Engine(
-        n, delta, cfg, seed=seed, mode=mode, verify="off",
-        initial_edges=initial_edges,
+    eng = Engine(n, delta, cfg, seed=seed, mode=mode, initial_edges=initial_edges)
+    stream = adv.adversary_stream(
+        adversary, eng, steps, seed if adversary == "oblivious" else seed ^ 0x5EED
     )
-    rng = random.Random(seed ^ 0x5EED)
-    view = adv.AdversaryView(eng)
-    dview = adv.DecompositionView(eng)
-    if adversary == "oblivious":
-        stream = iter(adv.oblivious_adversary(n, delta, steps, 0.5, seed))
-    elif adversary == "conflict":
-        stream = (adv.conflict_adversary(view, rng) for _ in range(steps))
-    else:
-        stream = (adv.matching_attacker(view, dview, rng) for _ in range(steps))
-
-    violations = []
-    max_sparse = max_steals = 0
-    applied = 0
-    last_restarts = eng.meter.restarts
-    for upd in stream:
-        rep = eng.apply(upd)
-        applied += 1
-        if eng.meter.restarts == last_restarts:
-            # a phase restart rewrites the whole coloring inside one
-            # apply(); per-update recolor maxima only cover regular steps
-            max_sparse = max(max_sparse, rep.sparse_recolors)
-            max_steals = max(max_steals, rep.steals)
-        last_restarts = eng.meter.restarts
-        if applied % sweep_every == 0:
-            violations += eng.verify_now()
-    violations += eng.verify_now()
+    res = drive(eng, stream, sweep_every=sweep_every)
+    # a phase restart rewrites the whole coloring inside one apply();
+    # per-update recolor maxima only cover regular steps
+    regular = [r for r in res.reports if not r.restarted]
     return {
         "label": label,
-        "updates": applied,
-        "violations": violations,
-        "max_sparse_recolors": max_sparse,
-        "max_steals": max_steals,
+        "updates": res.applied,
+        "violations": res.violations,
+        "max_sparse_recolors": max((r.sparse_recolors for r in regular), default=0),
+        "max_steals": max((r.steals for r in regular), default=0),
     }
 
 
@@ -149,12 +123,6 @@ def adversary_runs():
     return runs
 
 
-def _families(n: int, delta: int, seed: int):
-    yield "planted", planted_clique_graph(n, delta, seed)[0]
-    yield "random-sparse", random_sparse_graph(n, delta, avg_deg=6.0, seed=seed)
-    yield "mixed", mixed_graph(n, delta, seed)[0]
-
-
 @pytest.fixture(scope="session")
 def fresh_family_runs():
     """50 seeds x 3 families x n in {500, 2000}: one fresh coloring each."""
@@ -162,9 +130,9 @@ def fresh_family_runs():
     cfg = Config(epsilon=Fraction(1, 8), zeta=4)
     for n, delta in ((500, 64), (2000, 128)):
         for seed in range(SEED, SEED + 50):
-            for fam, edges in _families(n, delta, seed):
+            for fam, edges in families(n, delta, seed):
                 eng = Engine(
-                    n, delta, cfg, seed=seed, mode="phased", verify="phase",
+                    n, delta, cfg, seed=seed, mode="phased", strict=True,
                     initial_edges=edges, certify_decomposition=False,
                 )
                 rows.append(

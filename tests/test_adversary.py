@@ -110,7 +110,7 @@ def test_matching_attacker_deletes_inside_clique_without_pairs():
 
 
 def test_adaptive_runs_stay_clean():
-    eng, _ = planted_engine(seed=3, zeta=320, verify="full")
+    eng, _ = planted_engine(seed=3, zeta=320, strict=True)
     view = AdversaryView(eng)
     dview = DecompositionView(eng)
     rng = random.Random(9)

@@ -1,17 +1,21 @@
+import hashlib
 import json
 import math
 
 import pytest
 
 from dyncolor.cli import (
+    EXIT_ENGINE,
     EXIT_OK,
     EXIT_USAGE,
+    UsageError,
     main,
     resolve_epsilon,
     resolve_seed,
     resolve_zeta,
 )
 from dyncolor.config import auto_zeta
+from dyncolor.engine import Engine, InlierPaletteEmpty
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +29,9 @@ def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.setenv("COLOR_SEED", "7")
     assert resolve_seed(None) == 7
     assert resolve_seed(42) == 42  # explicit flag still wins
+    monkeypatch.setenv("COLOR_SEED", "seven")
+    with pytest.raises(UsageError):
+        resolve_seed(None)
 
 
 def test_resolve_epsilon_by_delta():
@@ -139,6 +146,48 @@ def test_run_bad_trace_is_usage_error(tmp_path):
     assert main(["run", "--trace", str(p)]) == EXIT_USAGE
 
 
+RUN_ADV = ["run", "--adversary", "conflict", "--n", "20", "--delta", "4"]
+
+
+@pytest.mark.parametrize(
+    "trace, argv, code",
+    [
+        ("+ 1 2\n+ 2 1\n", ["run", "--trace", "bad.trace"], EXIT_USAGE),
+        ("+ 1 2\n- 1 3\n", ["run", "--trace", "bad.trace"], EXIT_USAGE),
+        ("+ 1 2\n+ 1 7\n", ["run", "--trace", "bad.trace"], EXIT_USAGE),
+        (None, ["run", "--trace", "missing.trace"], EXIT_USAGE),
+        (None, RUN_ADV + ["--epsilon", "1/5"], EXIT_USAGE),
+        (None, RUN_ADV + ["--gamma", "abc"], EXIT_USAGE),
+        (None, RUN_ADV + ["--steps", "-5"], EXIT_USAGE),
+        (None, ["gen", "--n", "10", "--delta", "3", "--steps", "5", "--density", "0",
+                "--out", "x.trace"], EXIT_USAGE),
+        (None, ["scaling", "--n-grid", "64,128", "--reps", "0"], EXIT_USAGE),
+        (None, ["scaling", "--n-grid", "2,64"], EXIT_USAGE),
+        (None, RUN_ADV, EXIT_ENGINE),
+    ],
+    ids=[
+        "duplicate-insert", "missing-delete", "vertex-out-of-range", "missing-trace",
+        "epsilon-too-large", "gamma-not-a-number", "negative-steps", "zero-density",
+        "zero-reps", "grid-size-below-4", "inlier-palette-empty",
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, trace, argv, code):
+    monkeypatch.chdir(tmp_path)
+    if trace is not None:
+        (tmp_path / "bad.trace").write_text("6 3\n" + trace)
+    if code == EXIT_ENGINE:
+        def broken(self, upd):
+            raise InlierPaletteEmpty("no palette color for inlier 1")
+
+        monkeypatch.setattr(Engine, "apply", broken)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    if trace is not None:
+        # the offending update is on the trace's third line
+        assert "bad.trace:3: " in err
+
+
 def test_run_adaptive_adversary_smoke(tmp_path):
     out = tmp_path / "adv.json"
     code = main(
@@ -158,6 +207,44 @@ def test_run_zeta_auto_recorded(tmp_path):
     main(["run", "--trace", str(trace), "--seed", "0", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["header"]["config"]["zeta"] == math.ceil(50 ** (2 / 3))
+
+
+# metrics of two fixed runs, minus timing and the figures derived from
+# class_scans, hashed: the early exits of the availability checks depend on
+# the order a color class is walked in, which is not part of the contract;
+# every other figure, the final coloring included, is
+GOLDEN_EXCLUDED = (
+    ("timing",),
+    ("meter", "class_scans"),
+    ("meter", "total_ops"),
+    ("meter", "fresh_cost"),
+    ("per_update", "class_scans"),
+    ("amortized_ops",),
+)
+GOLDEN = {
+    "phased-trace": "9a2d1019bbaa4d941f0a7df64cb1e5659874acc5bd21b9ceab5e0f0f713f55d8",
+    "conflict-every": "30b9ca1fbb85f2523d758b63fdcf66ee0cea1409c9be4e9b399568a66e43356e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_metrics_match_recorded_digest(tmp_path, name):
+    out = tmp_path / "m.json"
+    if name == "phased-trace":
+        trace = _gen_trace(tmp_path, n=80, delta=16, steps=2000, seed=4)
+        argv = ["run", "--trace", str(trace), "--mode", "phased", "--zeta", "8", "--seed", "5"]
+    else:
+        argv = ["run", "--adversary", "conflict", "--n", "256", "--delta", "64",
+                "--steps", "500", "--verify", "every", "--seed", "0"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    for path in GOLDEN_EXCLUDED:
+        d = doc
+        for k in path[:-1]:
+            d = d[k]
+        del d[path[-1]]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------

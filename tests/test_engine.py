@@ -66,7 +66,7 @@ def test_naive_matches_min_free_color_oracle():
 
 
 def test_naive_runs_stay_proper():
-    eng = Engine(25, 6, Config(zeta=3), seed=2, verify="full")
+    eng = Engine(25, 6, Config(zeta=3), seed=2, strict=True)
     random_updates(eng, 400, seed=5)
     assert eng.verify_now() == []
 
@@ -299,13 +299,13 @@ def test_per_update_report_counts_steals_and_sparse_recolors():
 def test_identical_seeds_identical_runs():
     snaps = []
     for _ in range(2):
-        eng, _ = planted_engine(seed=13, verify="off")
+        eng, _ = planted_engine(seed=13, strict=False)
         random_updates(eng, 150, seed=21)
         snaps.append((eng.snapshot(), eng.meter.snapshot()))
     assert snaps[0] == snaps[1]
 
 
 def test_different_seeds_differ():
-    eng1, _ = planted_engine(seed=13, verify="off")
-    eng2, _ = planted_engine(seed=14, verify="off")
+    eng1, _ = planted_engine(seed=13, strict=False)
+    eng2, _ = planted_engine(seed=14, strict=False)
     assert eng1.snapshot()["phi"] != eng2.snapshot()["phi"]

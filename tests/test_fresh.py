@@ -3,15 +3,15 @@ from fractions import Fraction
 
 from dyncolor.config import Config
 from dyncolor.engine import Engine
-from dyncolor.fresh import color_dense, one_shot_coloring, verify_fresh_properties
+from dyncolor.fresh import color_dense, one_shot_coloring
 from dyncolor.instances import mixed_graph
-from dyncolor.verify import brute_clique_palette, brute_palette
+from dyncolor.verify import brute_clique_palette, brute_palette, verify_fresh_properties
 
 from conftest import dense_cfg, planted_engine
 
 
 def test_fresh_on_edgeless_graph():
-    eng = Engine(40, 10, dense_cfg(zeta=2), seed=1, mode="phased", verify="phase")
+    eng = Engine(40, 10, dense_cfg(zeta=2), seed=1, mode="phased", strict=True)
     assert all(c is not None for c in eng.state.phi[1:])
     assert eng.verify_now() == []
     assert verify_fresh_properties(eng.g, eng.decomp, eng.state, eng.cfg) == []
@@ -23,7 +23,7 @@ def test_fresh_single_complete_clique_distinct_colors():
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     eng = Engine(
         n, delta, dense_cfg(), seed=2, mode="phased", initial_edges=edges,
-        verify="phase",
+        strict=True,
     )
     assert len(eng.decomp.cliques) == 1
     c = eng.decomp.cliques[0]
@@ -38,7 +38,7 @@ def test_fresh_mixed_instance_properties_pass():
     edges, _ = mixed_graph(n, delta, seed=5)
     eng = Engine(
         n, delta, Config(epsilon=Fraction(1, 8), zeta=4), seed=3,
-        mode="phased", initial_edges=edges, verify="phase",
+        mode="phased", initial_edges=edges, strict=True,
         certify_decomposition=False,
     )
     assert verify_fresh_properties(eng.g, eng.decomp, eng.state, eng.cfg) == []
@@ -48,7 +48,7 @@ def test_fresh_mixed_instance_properties_pass():
 def test_fresh_report_is_reproducible():
     reports = []
     for _ in range(2):
-        eng, _ = planted_engine(seed=17, verify="full")
+        eng, _ = planted_engine(seed=17, strict=True)
         reports.append(eng.fresh_reports[-1].to_dict())
     assert reports[0] == reports[1]
 
@@ -68,7 +68,7 @@ def test_one_shot_removes_adjacent_same_colored_pairs():
     # statistical form of the conflict-removal contract: after the pass,
     # no two adjacent sparse vertices share a color, over many seeds
     for seed in range(20):
-        eng, _ = planted_engine(seed=seed, zeta=320, verify="off")
+        eng, _ = planted_engine(seed=seed, zeta=320, strict=False)
         st = eng.state
         for v in range(1, eng.g.n + 1):
             st.set_color(v, None)

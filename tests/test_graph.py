@@ -1,6 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from dyncolor.adversary import AdversaryView
+from dyncolor.config import Config
+from dyncolor.engine import Engine, Update
 from dyncolor.graph import (
     DegreeCapExceeded,
     DuplicateEdge,
@@ -91,24 +96,45 @@ def test_flat_edge_arrays_track_edge_list():
         g.insert_edge(u, v)
     g.delete_edge(2, 3)
     g.delete_edge(1, 2)
-    assert list(zip(g._eu, g._ev)) == g._edges
+    # each deletion moves the last slot into the hole; adversary streams
+    # draw edges by slot, so this order is part of their reproducibility
+    assert g.edges() == [(4, 5), (1, 5), (3, 4)]
     g.assert_consistent()
 
 
-@given(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)), max_size=60))
-def test_random_walk_consistency(pairs):
-    g = DynamicGraph(10, 4)
+@given(
+    st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)), max_size=60),
+    st.integers(0, 2**32),
+)
+def test_random_walk_consistency(pairs, seed):
+    eng = Engine(10, 4, Config(zeta=3), seed=0)
+    g = eng.g
+    view = AdversaryView(eng)
     live = set()
     for u, v in pairs:
         if u == v:
             continue
         k = (min(u, v), max(u, v))
         if k in live:
-            g.delete_edge(u, v)
+            eng.apply(Update("-", u, v))
             live.discard(k)
         elif g.degree(u) < 4 and g.degree(v) < 4:
-            g.insert_edge(u, v)
+            eng.apply(Update("+", u, v))
             live.add(k)
-    assert set(g.edges()) == live
-    assert list(zip(g._eu, g._ev)) == g._edges
+        else:
+            continue
+        edges = g.edges()
+        assert set(edges) == live and len(edges) == g.edge_count == len(live)
+        assert edges == list(zip(g._eu, g._ev))
+        assert [g.edge_at(i) for i in range(g.edge_count)] == edges
+        assert g._pos == {a * 11 + b: i for i, (a, b) in enumerate(edges)}
+        assert all(g.has_edge(a, b) and g.has_edge(b, a) for a, b in edges)
+        assert sum(g.degree(x) for x in range(1, 11)) == 2 * len(live)
+        # one draw of randrange(edge_count) per sampled edge
+        e = view.random_edge(random.Random(seed))
+        if live:
+            assert e in live
+            assert e == g.edge_at(random.Random(seed).randrange(g.edge_count))
+        else:
+            assert e is None
     g.assert_consistent()

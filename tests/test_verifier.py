@@ -11,6 +11,7 @@ from dyncolor.verify import (
     check_invariants,
     check_proper,
     check_proper_fast,
+    verify_fresh_properties,
 )
 
 from conftest import build_graph, planted_engine
@@ -137,15 +138,21 @@ def test_balance_clean_right_after_fresh():
     assert check_balance(eng.state, eng.decomp, eng.cfg, phase_elapsed=0) == []
 
 
-def test_balance_flags_overfull_clique_class():
-    eng, _ = planted_engine(seed=5)
+def test_balance_flags_overfull_sparse_class():
+    # zeta=320 puts the class cap at 8*(160/320 + 8) = 68 < |S|
+    eng, _ = planted_engine(seed=5, zeta=320)
     st_ = eng.state
-    members = sorted(eng.decomp.cliques[0].members)
-    chi = st_.phi[members[0]]
-    for v in [u for u in members if st_.phi[u] != chi][:2]:
-        st_.set_color(v, chi)
-    out = check_balance(st_, eng.decomp, eng.cfg, phase_elapsed=0)
-    assert any(v.kind == "balance" for v in out)
+    sparse = [v for v in range(1, eng.g.n + 1) if eng.decomp.part[v] is None]
+    assert check_balance(st_, eng.decomp, eng.cfg, phase_elapsed=0) == []
+    for v in sparse:
+        st_.set_color(v, 1)
+    for out in (
+        check_balance(st_, eng.decomp, eng.cfg, phase_elapsed=0),
+        verify_fresh_properties(eng.g, eng.decomp, st_, eng.cfg),
+    ):
+        flagged = [v for v in out if v.kind == "sparse-balance"]
+        assert [v.location for v in flagged] == ["chi=1"]
+        assert flagged[0].details.startswith(f"{len(sparse)} > ")
 
 
 # ---------------------------------------------------------------------------
