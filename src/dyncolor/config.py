@@ -7,7 +7,7 @@ Ratios are stored as exact fractions so that threshold comparisons
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 

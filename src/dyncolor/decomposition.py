@@ -3,8 +3,13 @@
 The partition is recomputed from scratch at phase boundaries and frozen
 for the duration of a phase; only the per-vertex external/anti-neighbor
 sets and the per-clique aggregates drift with edge updates.  Aggregates
-are exact rationals so floor/threshold comparisons never depend on
-floating-point rounding.
+are exact integers, and every floor/threshold comparison is made in
+integer or rational arithmetic, never in floating point.
+
+The rebuild works over the graph's flat edge arrays: neighborhoods are
+packed into uint64 bit rows, so common-neighbor counts are exact
+popcounts, and intra-clique degrees are one bincount over same-label
+edges.
 """
 
 from __future__ import annotations
@@ -43,16 +48,93 @@ def sparsity(g: DynamicGraph, v: int) -> Fraction:
 
 
 def all_neighborhood_edge_counts(g: DynamicGraph) -> np.ndarray:
-    """m_v (edges inside G[N(v)]) for every vertex, via triangle counts."""
-    n = g.n
-    a = np.zeros((n, n), dtype=np.float32)
-    for v in range(1, n + 1):
-        row = a[v - 1]
-        for u in g.adj[v]:
-            row[u - 1] = 1.0
-    tri = (a @ a) * a
-    m = tri.sum(axis=1) / 2.0
-    return np.rint(m).astype(np.int64)
+    """m_v (edges inside G[N(v)]) for every vertex, index v-1.
+
+    Each edge {u, v} lies on |N(u) & N(v)| triangles, one popcount of two
+    bit rows; summing that over the edges at v counts every edge of
+    G[N(v)] twice.
+    """
+    eu, ev = _edge_endpoints(g)
+    rows = np.arange(-1, g.n, dtype=np.int64)  # vertex v owns row v-1
+    bits = _bit_rows(rows, g.n, eu, ev)
+    tri = _row_overlaps(bits, eu - 1, ev - 1)
+    twice_m = np.bincount(eu - 1, tri, g.n) + np.bincount(ev - 1, tri, g.n)
+    return twice_m.astype(np.int64) // 2
+
+
+# ---------------------------------------------------------------------------
+# vectorised counts over the flat edge arrays
+
+# bytes per temporary array in the bit-row kernels: the work is cut into
+# chunks of this size, so a rebuild's peak memory stays flat in n and the
+# temporaries stay in cache
+_CHUNK_BYTES = 1 << 18
+
+
+def _edge_endpoints(g: DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the edge arrays (u < v per slot).
+
+    A view would hold a buffer export on the graph's arrays, which then
+    refuse to grow, for as long as it lived, e.g. in a traceback.
+    """
+    return (
+        np.frombuffer(g._eu, dtype=np.int32).astype(np.int64),
+        np.frombuffer(g._ev, dtype=np.int32).astype(np.int64),
+    )
+
+
+def _degrees(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    return np.bincount(eu, minlength=n + 1) + np.bincount(ev, minlength=n + 1)
+
+
+def _bit_rows(rows: np.ndarray, n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Packed neighborhoods, one uint64 row per vertex v with rows[v] >= 0.
+
+    Columns are the vertices adjacent to some row vertex, in id order;
+    popcounts of ANDed rows are common-neighbor counts.
+    """
+    k = int(rows.max()) + 1
+    src = np.concatenate((eu, ev))
+    dst = np.concatenate((ev, eu))
+    r = rows[src]
+    keep = r >= 0
+    r, dst = r[keep], dst[keep]
+    col = np.zeros(n + 1, dtype=np.int64)
+    col[dst] = 1
+    np.cumsum(col, out=col)
+    dst = col[dst] - 1
+    width = max(64, -(-int(col[-1]) // 64) * 64)
+    out = np.empty((k, width // 8), dtype=np.uint8)
+    step = max(1, _CHUNK_BYTES // width)
+    for lo in range(0, k, step):
+        sel = (r >= lo) & (r < lo + step)
+        block = np.zeros((min(step, k - lo), width), dtype=bool)
+        block[r[sel] - lo, dst[sel]] = True
+        out[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _row_overlaps(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """popcount(bits[i[p]] & bits[j[p]]) for every pair p."""
+    out = np.empty(len(i), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * bits.shape[1]))
+    for lo in range(0, len(i), step):
+        both = np.take(bits, i[lo : lo + step], axis=0)
+        both &= np.take(bits, j[lo : lo + step], axis=0)
+        out[lo : lo + step] = np.bitwise_count(both).sum(axis=1)
+    return out
+
+
+def _intra_degrees(
+    n: int, candidates: list[set[int]], eu: np.ndarray, ev: np.ndarray
+) -> np.ndarray:
+    """Per vertex id, its neighbors inside its own (disjoint) candidate."""
+    label = np.full(n + 1, -1, dtype=np.int64)
+    for i, cand in enumerate(candidates):
+        label[np.fromiter(cand, dtype=np.int64, count=len(cand))] = i
+    lu = label[eu]
+    same = (lu >= 0) & (lu == label[ev])
+    return _degrees(n, eu[same], ev[same])
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +163,19 @@ class Clique:
         return Fraction(self.sum_ext, self.size)
 
     def matching_target(self) -> int:
-        return math.floor(8 * self.avg_anti)
+        """floor(8 * a_D)."""
+        return 8 * self.sum_anti // self.size
+
+    def admits_inlier(self, e_v: int, a_v: int) -> bool:
+        """e_v <= 8*e_D and a_v <= 8*a_D, compared in integers."""
+        size = self.size
+        return e_v * size <= 8 * self.sum_ext and a_v * size <= 8 * self.sum_anti
 
 
 @dataclass
 class RawPartition:
     sparse: set[int]
-    candidates: list[set[int]]
+    candidates: list[set[int]]  # pairwise disjoint
 
 
 class Decomposition:
@@ -113,11 +201,7 @@ class Decomposition:
     def is_inlier(self, v: int) -> bool:
         """Inlier test against the current (drifted) averages."""
         c = self.clique_of(v)
-        if c is None:
-            return False
-        return (
-            len(self.ext[v]) <= 8 * c.avg_ext and len(self.anti[v]) <= 8 * c.avg_anti
-        )
+        return c is not None and c.admits_inlier(len(self.ext[v]), len(self.anti[v]))
 
     @property
     def sparse_vertices(self) -> list[int]:
@@ -175,70 +259,53 @@ def compute_acd(
 
     Only vertices of degree >= (1-eps)*cap can belong to an almost-clique,
     which keeps the quadratic similarity step confined to the (usually
-    tiny) high-degree core.  Candidates are verified against the
-    almost-clique definition; vertices of failed candidates fall back to
-    the sparse pool.  With certify=True, every pooled vertex must clear
-    the sparsity floor, otherwise DecompositionFailed is raised.
+    tiny) high-degree core.  Two adjacent core vertices are friends when
+    they share at least (1-2*eps)*cap neighbors; the friendship components
+    of size >= (1-eps)*cap are the candidates, in order of their smallest
+    vertex.  Candidates are verified against the almost-clique definition;
+    vertices of failed candidates fall back to the sparse pool.  With
+    certify=True, every pooled vertex must clear the sparsity floor,
+    otherwise DecompositionFailed is raised.
     """
     d = g.delta_cap
     eps = cfg.epsilon
     deg_floor = math.ceil((1 - eps) * d)
     sim_floor = math.ceil((1 - 2 * eps) * d)
 
-    core = [v for v in range(1, g.n + 1) if g.degree(v) >= deg_floor]
+    eu, ev = _edge_endpoints(g)
+    core = np.flatnonzero(_degrees(g.n, eu, ev) >= deg_floor)
     candidates: list[set[int]] = []
-    if core:
-        idx = {v: i for i, v in enumerate(core)}
-        a = np.zeros((len(core), g.n), dtype=np.float32)
-        for v in core:
-            row = a[idx[v]]
-            for u in g.adj[v]:
-                row[u - 1] = 1.0
-        overlap = a @ a.T
-        # friendship: adjacent core pairs with large common neighborhoods
-        adj_mask = np.zeros((len(core), len(core)), dtype=bool)
-        for v in core:
-            for u in g.adj[v]:
-                if u in idx:
-                    adj_mask[idx[v], idx[u]] = True
-        friend = adj_mask & (overlap >= (sim_floor - 0.5))
-
-        seen = [False] * len(core)
-        for start in range(len(core)):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in np.flatnonzero(friend[x]):
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(int(y))
-                        stack.append(int(y))
-            if len(comp) >= deg_floor:
-                candidates.append({core[i] for i in comp})
+    if len(core):
+        rows = np.full(g.n + 1, -1, dtype=np.int64)
+        rows[core] = np.arange(len(core))
+        bits = _bit_rows(rows, g.n, eu, ev)
+        ru, rv = rows[eu], rows[ev]
+        inside = (ru >= 0) & (rv >= 0)
+        ru, rv = ru[inside], rv[inside]
+        friend = _row_overlaps(bits, ru, rv) >= sim_floor
+        for comp in _components(len(core), ru[friend], rv[friend], deg_floor):
+            # insertion order fixes the set's iteration order, which the
+            # anti-neighbor sets and so the anti-edge sampling inherit
+            candidates.append(set(core[comp].tolist()))
 
     sparse = set(range(1, g.n + 1))
     accepted: list[set[int]] = []
     size_cap = math.floor((1 + eps) * d)
+    intra = _intra_degrees(g.n, candidates, eu, ev)
     for cand in candidates:
         if len(cand) > size_cap:
             continue
-        if all(len(g.adj[v] & cand) >= deg_floor for v in cand):
+        members = np.fromiter(cand, dtype=np.int64, count=len(cand))
+        if intra[members].min() >= deg_floor:
             accepted.append(cand)
             sparse -= cand
 
     if certify and sparse:
+        # sparsity(v) = (d(d-1)/2 - m_v)/d < floor  <=>  m_v > limit
         floor_val = cfg.sparsity_floor() * d
-        m = all_neighborhood_edge_counts(g)
-        half = Fraction(d * (d - 1), 2)
-        bad = [
-            v
-            for v in sorted(sparse)
-            if Fraction(int(half - m[v - 1]), d) < floor_val
-        ]
+        limit = math.floor(Fraction(d * (d - 1), 2) - d * floor_val)
+        over = np.flatnonzero(all_neighborhood_edge_counts(g) > limit) + 1
+        bad = [v for v in over.tolist() if v in sparse]
         if bad:
             raise DecompositionFailed(
                 f"{len(bad)} unclustered vertices below the sparsity floor "
@@ -246,6 +313,51 @@ def compute_acd(
             )
 
     return RawPartition(sparse=sparse, candidates=accepted)
+
+
+def _components(
+    k: int, fu: np.ndarray, fv: np.ndarray, min_size: int
+) -> list[np.ndarray]:
+    """Components of >= min_size nodes of the graph on range(k) with edges
+    (fu, fv), ordered by smallest node.
+
+    Each component lists its nodes in the discovery order of a stack
+    search from its smallest node that visits neighbors in ascending
+    order and marks them when pushed.  Labels come from min-label
+    propagation with pointer jumping, so the search only runs on the
+    components that are kept, and stops once it has found all nodes.
+    """
+    key = np.sort(np.concatenate((fu * k + fv, fv * k + fu)))
+    src, dst = np.divmod(key, k)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+
+    label = np.arange(k)
+    if len(src):
+        has = np.flatnonzero(indptr[:-1] < indptr[1:])
+        while True:
+            nxt = label.copy()
+            nxt[has] = np.minimum(label[has], np.minimum.reduceat(label[dst], indptr[has]))
+            nxt = nxt[nxt]
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+
+    sizes = np.bincount(label, minlength=k)
+    seen = np.zeros(k, dtype=bool)
+    comps = []
+    for root in np.flatnonzero(sizes >= min_size).tolist():
+        seen[root] = True
+        found, stack = [root], [root]
+        while len(found) < sizes[root]:
+            x = stack.pop()
+            nbrs = dst[indptr[x] : indptr[x + 1]]
+            new = nbrs[~seen[nbrs]]
+            seen[new] = True
+            found += new.tolist()
+            stack += new.tolist()
+        comps.append(np.array(found))
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -258,40 +370,41 @@ def refine_to_sparser_denser(
     """Drop loose cliques into S and materialize exact per-clique data."""
     d = Decomposition(g.n)
     threshold = cfg.dissolve_threshold()
-    kept: list[set[int]] = []
+    eu, ev = _edge_endpoints(g)
+    deg = _degrees(g.n, eu, ev)
+    intra = _intra_degrees(g.n, raw.candidates, eu, ev)
+    kept = []
     for cand in raw.candidates:
         size = len(cand)
-        sum_ext = sum(len(g.adj[v] - cand) for v in cand)
-        sum_anti = sum(size - 1 - len(g.adj[v] & cand) for v in cand)
-        if Fraction(sum_ext + sum_anti, size) >= threshold:
+        members = sorted(cand)
+        inside = intra[members]
+        e = (deg[members] - inside).tolist()
+        a = (size - 1 - inside).tolist()
+        if Fraction(sum(e) + sum(a), size) >= threshold:
             continue  # dissolved into S
-        kept.append(cand)
+        kept.append((cand, members, e, a))
 
-    for i, cand in enumerate(kept):
-        clique = Clique(index=i, members=cand, anti_edges=SampleSet())
-        mem_sorted = sorted(cand)
-        for v in mem_sorted:
+    for i, (cand, members, e, a) in enumerate(kept):
+        clique = Clique(
+            index=i, members=cand, anti_edges=SampleSet(), sum_ext=sum(e), sum_anti=sum(a)
+        )
+        for v, e_v, a_v in zip(members, e, a):
             d.part[v] = i
-            ev = g.adj[v] - cand
-            av = cand - g.adj[v] - {v}
-            d.ext[v] = ev
-            d.anti[v] = av
-            clique.sum_ext += len(ev)
-            clique.sum_anti += len(av)
+            # the same set expressions as a from-scratch scan, for the
+            # same iteration order; most members have neither kind
+            d.ext[v] = g.adj[v] - cand if e_v else set()
+            av = d.anti[v] = cand - g.adj[v] - {v} if a_v else set()
             for u in av:
                 if v < u:
                     clique.anti_edges.add((v, u))
-        clique.inliers = classify_inliers(
-            clique, {v: len(d.ext[v]) for v in cand}, {v: len(d.anti[v]) for v in cand}
-        )
+        clique.inliers = classify_inliers(clique, dict(zip(members, e)), dict(zip(members, a)))
         d.cliques.append(clique)
     return d
 
 
 def classify_inliers(c: Clique, ev: dict[int, int], av: dict[int, int]) -> set[int]:
     """Members within 8x of both clique averages (complement: outliers)."""
-    e_avg, a_avg = c.avg_ext, c.avg_anti
-    return {v for v in c.members if ev[v] <= 8 * e_avg and av[v] <= 8 * a_avg}
+    return {v for v in c.members if c.admits_inlier(ev[v], av[v])}
 
 
 # ---------------------------------------------------------------------------

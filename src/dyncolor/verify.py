@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Config
-from .decomposition import Decomposition, sparsity
+from .decomposition import Decomposition, RawPartition
 from .graph import DynamicGraph
 from .report import Violation
 from .state import ColoringState
@@ -29,6 +29,47 @@ def brute_force_sparsity(g: DynamicGraph, v: int) -> Fraction:
                 m += 1
     d = g.delta_cap
     return Fraction(d * (d - 1) // 2 - m, d)
+
+
+def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
+    """Set-based twin of compute_acd(certify=False): the same clustering
+    rule, with overlaps as set intersections and a plain DFS."""
+    d = g.delta_cap
+    eps = cfg.epsilon
+    deg_floor = math.ceil((1 - eps) * d)
+    sim_floor = math.ceil((1 - 2 * eps) * d)
+    size_cap = math.floor((1 + eps) * d)
+    core = {v for v in range(1, g.n + 1) if len(g.adj[v]) >= deg_floor}
+
+    def friends(v: int) -> list[int]:
+        return [
+            u
+            for u in sorted(g.adj[v] & core)
+            if len(g.adj[u] & g.adj[v]) >= sim_floor
+        ]
+
+    seen: set[int] = set()
+    sparse = set(range(1, g.n + 1))
+    accepted: list[set[int]] = []
+    for start in sorted(core):
+        if start in seen:
+            continue
+        comp = set()
+        stack = [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            comp.add(x)
+            for y in friends(x):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if deg_floor <= len(comp) <= size_cap and all(
+            len(g.adj[v] & comp) >= deg_floor for v in comp
+        ):
+            accepted.append(comp)
+            sparse -= comp
+    return RawPartition(sparse=sparse, candidates=accepted)
 
 
 def brute_palette(g: DynamicGraph, state: ColoringState, v: int) -> set[int]:

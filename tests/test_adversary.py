@@ -12,7 +12,7 @@ from dyncolor.adversary import (
     record_trace,
     replay_trace,
 )
-from dyncolor.engine import Engine, Update
+from dyncolor.engine import Engine
 from dyncolor.graph import DynamicGraph
 
 from conftest import planted_engine

@@ -1,5 +1,5 @@
-import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,8 +17,8 @@ from dyncolor.decomposition import (
     validate_decomposition,
 )
 from dyncolor.graph import DynamicGraph
-from dyncolor.instances import planted_clique_graph, random_graph
-from dyncolor.verify import brute_force_sparsity
+from dyncolor.instances import fuzz_graph, mixed_graph, planted_clique_graph, random_graph
+from dyncolor.verify import brute_acd, brute_force_sparsity
 
 from conftest import build_graph, dense_cfg
 
@@ -64,7 +64,7 @@ def test_sparsity_oracle_equivalence_fuzz(seed):
         assert sparsity(g, v) == brute_force_sparsity(g, v)
 
 
-def test_neighborhood_edge_counts_matmul_vs_loops():
+def test_neighborhood_edge_counts_bitsets_vs_loops():
     edges = random_graph(25, 10, 0.5, seed=9)
     g = build_graph(25, 10, edges)
     m = all_neighborhood_edge_counts(g)
@@ -101,6 +101,18 @@ def test_acd_disjoint_cliques():
     assert raw.sparse == set()
     assert len(raw.candidates) == 3
     assert sorted(map(len, raw.candidates)) == [21, 21, 21]
+
+
+def test_acd_floors_are_inclusive():
+    # K_8 blocks under delta = 8, eps = 1/8: two members share 6 = ceil(3/4 * 8)
+    # neighbors and each has 7 = ceil(7/8 * 8) neighbors inside its block, so
+    # both the friendship and the intra-degree test sit exactly on their floor
+    delta = 8
+    n, edges = _complete_blocks(3, delta)
+    g = build_graph(n, delta, edges)
+    raw = compute_acd(g, dense_cfg())
+    assert raw.sparse == set()
+    assert raw.candidates == [set(range(1, 9)), set(range(9, 17)), set(range(17, 25))]
 
 
 def test_acd_bipartite_all_sparse():
@@ -153,6 +165,73 @@ def test_acd_certify_failure():
     raw = compute_acd(g, cfg, certify=False)
     assert raw.candidates == []
     assert raw.sparse == set(range(1, n + 1))
+
+
+def _oracle_instance(kind: str, seed: int) -> tuple[int, int, list[tuple[int, int]]]:
+    rng = random.Random(seed)
+    if kind == "random":
+        n = rng.randint(4, 60)
+        cap = rng.randint(1, n - 1)
+        return n, cap, random_graph(n, cap, rng.uniform(0.05, 1.0), seed)
+    if kind == "fuzz":
+        n = rng.randint(2, 40)
+        edges, cap = fuzz_graph(n, seed)
+        return n, cap, edges
+    # small caps put clique overlaps right on the similarity floor; larger
+    # ones let near-cliques with anti-edges clear the degree floor
+    cap = rng.randint(6, 40)
+    n = rng.randint(2 * cap, 4 * cap)
+    if kind == "mixed":
+        return n, cap, mixed_graph(n, cap, seed)[0]
+    size = rng.randint(cap - 2, cap + 1)
+    edges, _ = planted_clique_graph(
+        n, cap, seed, num_cliques=rng.randint(1, n // size), clique_size=size,
+        anti_edges_per_clique=rng.randint(0, cap // 2), noise_avg_deg=rng.uniform(0, 4),
+        cross_avg_deg=rng.uniform(0, 2),
+    )
+    return n, cap, edges
+
+
+@given(
+    st.sampled_from(["random", "mixed", "planted", "fuzz"]),
+    st.integers(0, 10_000),
+    st.sampled_from([Fraction(1, 7), Fraction(1, 8), Fraction(1, 12)]),
+)
+@settings(max_examples=60)
+def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
+    n, cap, edges = _oracle_instance(kind, seed)
+    g = build_graph(n, cap, edges)
+    cfg = Config(epsilon=eps, zeta=1)
+    raw = compute_acd(g, cfg, certify=False)
+    assert raw == brute_acd(g, cfg)  # same sparse set, same candidates in order
+    m = all_neighborhood_edge_counts(g)
+    half = cap * (cap - 1) // 2
+    for v in range(1, n + 1):
+        assert brute_force_sparsity(g, v) == Fraction(half - int(m[v - 1]), cap)
+    # certification fails exactly when some pooled vertex is below the floor
+    floor_val = cfg.sparsity_floor() * cap
+    below = [v for v in sorted(raw.sparse) if brute_force_sparsity(g, v) < floor_val]
+    if below:
+        with pytest.raises(DecompositionFailed, match=rf"first: \[{below[0]}\b"):
+            compute_acd(g, cfg, certify=True)
+    else:
+        assert compute_acd(g, cfg, certify=True) == raw
+
+
+def test_acd_peak_memory_stays_chunked():
+    # the similarity step holds bit rows of the core and fixed-size chunks
+    # of their pairwise ANDs, never a core x n matrix
+    edges, _ = mixed_graph(2048, 128, seed=1)
+    g = build_graph(2048, 128, edges)
+    cfg = Config(epsilon=Fraction(1, 8), zeta=320)
+    tracemalloc.start()
+    try:
+        raw = compute_acd(g, cfg, certify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(raw.candidates) == 8
+    assert peak < 12 * 2**20
 
 
 # ---------------------------------------------------------------------------

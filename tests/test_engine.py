@@ -1,12 +1,16 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from dyncolor import engine as engine_mod
+from dyncolor.adversary import adversary_stream
 from dyncolor.config import Config
+from dyncolor.drive import drive
 from dyncolor.engine import Engine, PhaseRestart, Update
-from dyncolor.graph import DynamicGraph
-from dyncolor.instances import planted_clique_graph
+from dyncolor.instances import mixed_graph
 
 from conftest import dense_cfg, planted_engine, random_updates
 
@@ -309,3 +313,44 @@ def test_different_seeds_differ():
     eng1, _ = planted_engine(seed=13, strict=False)
     eng2, _ = planted_engine(seed=14, strict=False)
     assert eng1.snapshot()["phi"] != eng2.snapshot()["phi"]
+
+
+# ---------------------------------------------------------------------------
+# golden run over a clique instance
+
+
+# sha256 of every phase's decomposition and the final coloring of one
+# phased run with four almost-cliques throughout; recorded before the
+# decomposition moved from a float matrix to packed bitsets, so it pins
+# that the rewrite changed no partition, inlier set, anti-edge order or color
+CLIQUE_RUN_DIGEST = "1d236682dcb2e11d6fe347b1efd7be348a811f5082017730850ddee7a65b1b14"
+
+
+def test_clique_instance_matches_recorded_digest(monkeypatch):
+    phases = []
+    refine = engine_mod.refine_to_sparser_denser
+
+    def recording_refine(raw, g, cfg):
+        d = refine(raw, g, cfg)
+        phases.append({
+            "part": [-1 if p is None else p for p in d.part[1:]],
+            "cliques": [
+                [sorted(c.members), sorted(c.inliers), list(c.anti_edges)]
+                for c in d.cliques
+            ],
+        })
+        return d
+
+    monkeypatch.setattr(engine_mod, "refine_to_sparser_denser", recording_refine)
+    edges, _ = mixed_graph(512, 64, seed=3)
+    cfg = Config(epsilon=Fraction(1, 8), zeta=80)
+    eng = Engine(512, 64, cfg, seed=5, mode="phased", initial_edges=edges)
+    assert eng.certify
+    drive(eng, adversary_stream("matching", eng, 300, 9))
+    assert eng.verify_now() == []
+    assert eng.meter.restarts == 0
+    assert len(phases) == eng.meter.fresh_runs == 60
+    assert all(len(p["cliques"]) == 4 for p in phases)
+    doc = {"phases": phases, "phi": eng.state.phi[1:]}
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == CLIQUE_RUN_DIGEST

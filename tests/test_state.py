@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncolor.config import Config
 from dyncolor.decomposition import compute_acd, refine_to_sparser_denser, trivial_decomposition
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import planted_clique_graph

@@ -3,7 +3,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from dyncolor.decomposition import sparsity
-from dyncolor.graph import DynamicGraph
 from dyncolor.instances import fuzz_graph
 from dyncolor.verify import (
     brute_force_sparsity,
