@@ -32,7 +32,6 @@ def main() -> None:
                 eng = Engine(
                     n, delta, cfg_proto, seed=10_000 + seed, mode="phased",
                     strict=True, initial_edges=edges,
-                    certify_decomposition=False,
                 )
                 rep = eng.fresh_reports[-1]
                 viols = verify_fresh_properties(

@@ -13,6 +13,7 @@ import random
 from typing import Iterable, Iterator
 
 from .engine import Engine, Update
+from .graph import DynamicGraph
 
 
 class ParseError(Exception):
@@ -111,9 +112,7 @@ def oblivious_adversary(
         raise ValueError("density must be in (0, 1]")
     rng = random.Random(seed)
     target = int(density * n * delta / 2)
-    edges: list[tuple[int, int]] = []
-    pos: dict[tuple[int, int], int] = {}
-    deg = [0] * (n + 1)
+    g = DynamicGraph(n, delta)
     out: list[Update] = []
 
     def try_insert() -> Update | None:
@@ -121,35 +120,25 @@ def oblivious_adversary(
             u, v = rng.sample(range(1, n + 1), 2)
             if u > v:
                 u, v = v, u
-            if (u, v) in pos or deg[u] >= delta or deg[v] >= delta:
+            if g.has_edge(u, v) or g.degree(u) >= delta or g.degree(v) >= delta:
                 continue
-            pos[(u, v)] = len(edges)
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
+            g.insert_edge(u, v)
             return Update("+", u, v)
         return None
 
     def do_delete() -> Update:
-        i = rng.randrange(len(edges))
-        u, v = edges[i]
-        last = edges.pop()
-        del pos[(u, v)]
-        if last != (u, v):
-            edges[i] = last
-            pos[last] = i
-        deg[u] -= 1
-        deg[v] -= 1
+        u, v = g.edge_at(rng.randrange(g.edge_count))
+        g.delete_edge(u, v)
         return Update("-", u, v)
 
     while len(out) < steps:
-        if len(edges) < target:
+        if g.edge_count < target:
             upd = try_insert()
             if upd is None:
-                if not edges:
+                if not g.edge_count:
                     break
                 upd = do_delete()
-        elif edges and rng.random() < 0.5:
+        elif g.edge_count and rng.random() < 0.5:
             upd = do_delete()
         else:
             upd = try_insert()
@@ -295,7 +284,3 @@ class TraceReader:
                         self.path, lineno, f"bad update {line.strip()!r}"
                     ) from None
                 yield Update(parts[0], u, v)
-
-
-def replay_trace(path: str) -> TraceReader:
-    return TraceReader(path)

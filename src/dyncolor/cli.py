@@ -115,7 +115,6 @@ def run_engine(
     adversary: str | None = None,
     steps: int = 0,
     initial_edges=None,
-    certify=None,
     reset_meter: bool = False,
 ) -> dict:
     """Drive one engine run and return the metrics document.
@@ -133,7 +132,6 @@ def run_engine(
         mode=mode,
         strict=verify != "off",
         initial_edges=initial_edges,
-        certify_decomposition=certify,
     )
     if reset_meter:
         eng.meter = CostMeter()
@@ -192,7 +190,7 @@ def run_engine(
 def cmd_run(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     if args.trace is not None:
-        reader = adv.replay_trace(args.trace)
+        reader = adv.TraceReader(args.trace)
         n, delta = reader.n, reader.delta
         updates, adversary = iter(reader), None
     else:
@@ -268,7 +266,6 @@ def scaling_row(
         adversary="conflict",
         steps=steps,
         initial_edges=edges,
-        certify=False,
         reset_meter=True,
     )
     return {

@@ -243,18 +243,11 @@ class Decomposition:
                 self.cliques[iv].sum_ext -= 1
 
 
-def trivial_decomposition(n: int) -> Decomposition:
-    """All vertices sparser; used when the dense path is inactive."""
-    return Decomposition(n)
-
-
 # ---------------------------------------------------------------------------
 # clustering heuristic
 
 
-def compute_acd(
-    g: DynamicGraph, cfg: Config, certify: bool = True
-) -> RawPartition:
+def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     """Almost-clique candidates via neighborhood-similarity clustering.
 
     Only vertices of degree >= (1-eps)*cap can belong to an almost-clique,
@@ -263,9 +256,8 @@ def compute_acd(
     they share at least (1-2*eps)*cap neighbors; the friendship components
     of size >= (1-eps)*cap are the candidates, in order of their smallest
     vertex.  Candidates are verified against the almost-clique definition;
-    vertices of failed candidates fall back to the sparse pool.  With
-    certify=True, every pooled vertex must clear the sparsity floor,
-    otherwise DecompositionFailed is raised.
+    vertices of failed candidates fall back to the sparse pool, which
+    certify_sparse_pool checks.
     """
     d = g.delta_cap
     eps = cfg.epsilon
@@ -300,19 +292,32 @@ def compute_acd(
             accepted.append(cand)
             sparse -= cand
 
-    if certify and sparse:
-        # sparsity(v) = (d(d-1)/2 - m_v)/d < floor  <=>  m_v > limit
-        floor_val = cfg.sparsity_floor() * d
-        limit = math.floor(Fraction(d * (d - 1), 2) - d * floor_val)
-        over = np.flatnonzero(all_neighborhood_edge_counts(g) > limit) + 1
-        bad = [v for v in over.tolist() if v in sparse]
-        if bad:
-            raise DecompositionFailed(
-                f"{len(bad)} unclustered vertices below the sparsity floor "
-                f"(first: {bad[:5]})"
-            )
-
     return RawPartition(sparse=sparse, candidates=accepted)
+
+
+def certify_sparse_pool(g: DynamicGraph, cfg: Config, sparse: set[int]) -> None:
+    """Raise DecompositionFailed unless every vertex in sparse clears the
+    sparsity floor.
+
+    sparsity(v) < floor iff m_v > limit, and m_v <= deg(v)(deg(v)-1)/2,
+    so edges inside neighborhoods are counted only when some pooled
+    vertex has the degree to exceed the limit.
+    """
+    d = g.delta_cap
+    floor_val = cfg.sparsity_floor() * d
+    limit = math.floor(Fraction(d * (d - 1), 2) - d * floor_val)
+    deg = _degrees(g.n, *_edge_endpoints(g))
+    roomy = np.flatnonzero(deg * (deg - 1) // 2 > limit).tolist()
+    suspects = [v for v in roomy if v in sparse]
+    if not suspects:
+        return
+    m = all_neighborhood_edge_counts(g)
+    bad = [v for v in suspects if m[v - 1] > limit]
+    if bad:
+        raise DecompositionFailed(
+            f"{len(bad)} unclustered vertices below the sparsity floor "
+            f"(first: {bad[:5]})"
+        )
 
 
 def _components(

@@ -19,9 +19,9 @@ from .config import Config
 from .decomposition import (
     DecompositionFailed,
     Decomposition,
+    certify_sparse_pool,
     compute_acd,
     refine_to_sparser_denser,
-    trivial_decomposition,
 )
 from .graph import DynamicGraph
 from .state import ColoringState
@@ -98,7 +98,6 @@ class Engine:
         mode: str = "auto",
         strict: bool = False,
         initial_edges: list[tuple[int, int]] | None = None,
-        certify_decomposition: bool | None = None,
     ) -> None:
         self.cfg = cfg
         self.g = DynamicGraph(n, delta_cap)
@@ -112,19 +111,16 @@ class Engine:
         if mode not in ("phased", "naive"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        if certify_decomposition is None:
-            certify_decomposition = n <= 512
-        self.certify = certify_decomposition
 
         self.meter = CostMeter()
-        self.decomp: Decomposition = trivial_decomposition(n)
+        # all vertices sparser until a phase starts; the naive mode keeps it
+        self.decomp = Decomposition(n)
         self.state = ColoringState(n, delta_cap + 1, self.decomp)
         self.phase = PhaseController(t=cfg.phase_length)
         self._update_sparse_recolors = 0
         self._update_steals = 0
         self.updates_applied = 0
         self.fresh_reports: list = []
-        self.violations: list = []
 
         if initial_edges:
             for u, v in initial_edges:
@@ -139,7 +135,8 @@ class Engine:
 
     def _start_phase(self) -> None:
         try:
-            raw = compute_acd(self.g, self.cfg, certify=self.certify)
+            raw = compute_acd(self.g, self.cfg)
+            certify_sparse_pool(self.g, self.cfg, raw.sparse)
         except DecompositionFailed as exc:
             raise EngineFailure(str(exc)) from exc
         self.decomp = refine_to_sparser_denser(raw, self.g, self.cfg)

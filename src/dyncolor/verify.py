@@ -32,8 +32,8 @@ def brute_force_sparsity(g: DynamicGraph, v: int) -> Fraction:
 
 
 def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
-    """Set-based twin of compute_acd(certify=False): the same clustering
-    rule, with overlaps as set intersections and a plain DFS."""
+    """Set-based twin of compute_acd: the same clustering rule, with
+    overlaps as set intersections and a plain DFS."""
     d = g.delta_cap
     eps = cfg.epsilon
     deg_floor = math.ceil((1 - eps) * d)

@@ -133,7 +133,7 @@ def fresh_family_runs():
             for fam, edges in families(n, delta, seed):
                 eng = Engine(
                     n, delta, cfg, seed=seed, mode="phased", strict=True,
-                    initial_edges=edges, certify_decomposition=False,
+                    initial_edges=edges,
                 )
                 rows.append(
                     {
@@ -216,9 +216,7 @@ def test_criterion_3_oracle_equivalence():
             g = DynamicGraph(n, delta)
             for u, v in edges:
                 g.insert_edge(u, v)
-            d = refine_to_sparser_denser(
-                compute_acd(g, cfg, certify=False), g, cfg
-            )
+            d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
         graphs += 1
         cliques_seen += len(d.cliques)
 

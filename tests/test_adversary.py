@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from dyncolor.adversary import (
     conflict_adversary,
     matching_attacker,
     oblivious_adversary,
+    TraceReader,
     record_trace,
-    replay_trace,
 )
 from dyncolor.engine import Engine
 from dyncolor.graph import DynamicGraph
@@ -43,6 +44,26 @@ def test_oblivious_prefixes_replay_cleanly():
             g.insert_edge(upd.u, upd.v)
         else:
             g.delete_edge(upd.u, upd.v)
+
+
+# sha256 over the "op u v" lines, recorded when the generator kept its own
+# edge list, position map and degree array instead of a DynamicGraph
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            (1000, 250, 50000, 0.5, 1),
+            "520478227df77b2bbae98f38b75633560bb38fe477d904fa969f88f550b1d3fd",
+        ),
+        (
+            (40, 39, 5000, 1.0, 2),
+            "560613762fd10c600b67eea108a2bead47054c1e149426763a00fe07d6fb5769",
+        ),
+    ],
+)
+def test_oblivious_stream_matches_recorded_digest(args, digest):
+    lines = "".join(f"{u.op} {u.u} {u.v}\n" for u in oblivious_adversary(*args))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 def test_oblivious_rejects_bad_density():
@@ -158,7 +179,7 @@ def test_trace_round_trip(tmp_path):
     stream = oblivious_adversary(25, 5, 300, density=0.5, seed=4)
     p = tmp_path / "walk.trace"
     record_trace(str(p), 25, 5, stream)
-    reader = replay_trace(str(p))
+    reader = TraceReader(str(p))
     assert (reader.n, reader.delta) == (25, 5)
     assert list(reader) == stream
     # a second iteration yields the same stream (stateless reader)
@@ -168,7 +189,7 @@ def test_trace_round_trip(tmp_path):
 def test_trace_bad_op_reports_line_number(tmp_path):
     p = tmp_path / "bad.trace"
     p.write_text("6 3\n+ 1 2\nx 1 2\n")
-    reader = replay_trace(str(p))
+    reader = TraceReader(str(p))
     with pytest.raises(ParseError) as exc:
         list(reader)
     assert exc.value.lineno == 3
@@ -178,17 +199,17 @@ def test_trace_bad_header(tmp_path):
     p = tmp_path / "hdr.trace"
     p.write_text("6\n")
     with pytest.raises(ParseError) as exc:
-        replay_trace(str(p))
+        TraceReader(str(p))
     assert exc.value.lineno == 1
     p2 = tmp_path / "hdr2.trace"
     p2.write_text("0 3\n")
     with pytest.raises(ParseError):
-        replay_trace(str(p2))
+        TraceReader(str(p2))
 
 
 def test_trace_non_integer_vertex(tmp_path):
     p = tmp_path / "vert.trace"
     p.write_text("6 3\n+ a 2\n")
     with pytest.raises(ParseError) as exc:
-        list(replay_trace(str(p)))
+        list(TraceReader(str(p)))
     assert exc.value.lineno == 2

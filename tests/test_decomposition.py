@@ -1,19 +1,22 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncolor import decomposition as decomposition_mod
 from dyncolor.config import Config
 from dyncolor.decomposition import (
+    Decomposition,
     DecompositionFailed,
     all_neighborhood_edge_counts,
+    certify_sparse_pool,
     classify_inliers,
     compute_acd,
     refine_to_sparser_denser,
     sparsity,
-    trivial_decomposition,
     validate_decomposition,
 )
 from dyncolor.graph import DynamicGraph
@@ -159,12 +162,39 @@ def test_acd_certify_failure():
     n, edges = _complete_blocks(1, delta + 1)
     g = build_graph(n, delta, edges)
     cfg = Config(epsilon=Fraction(1, 110), zeta=1)
-    with pytest.raises(DecompositionFailed):
-        compute_acd(g, cfg, certify=True)
-    # without certification the same call degrades to an all-sparse pool
-    raw = compute_acd(g, cfg, certify=False)
+    # the clustering alone degrades to an all-sparse pool
+    raw = compute_acd(g, cfg)
     assert raw.candidates == []
     assert raw.sparse == set(range(1, n + 1))
+    with pytest.raises(DecompositionFailed, match=r"^21 .* \(first: \[1, 2, 3, 4, 5\]\)$"):
+        certify_sparse_pool(g, cfg, raw.sparse)
+
+
+def test_certify_counts_only_vertices_the_degree_bound_admits(monkeypatch):
+    # delta = 8, eps = 1/8: a pooled vertex fails with more than
+    # 8*7/2 - 8*(8/64) = 27 edges in its neighborhood.  A star centre of
+    # degree 8 could hold 28, so its (zero) edges are counted; at degree 7
+    # it holds at most 21 and certifies without counting
+    calls = []
+    counts = decomposition_mod.all_neighborhood_edge_counts
+
+    def counting(g):
+        calls.append(g.n)
+        return counts(g)
+
+    monkeypatch.setattr(decomposition_mod, "all_neighborhood_edge_counts", counting)
+    delta = 8
+    g = build_graph(10, delta, [(1, leaf) for leaf in range(2, delta + 2)])
+    cfg = dense_cfg()
+    assert sparsity(g, 1) == Fraction(delta - 1, 2) >= cfg.sparsity_floor() * delta
+    pool = compute_acd(g, cfg).sparse
+    assert pool == set(range(1, 11))
+    certify_sparse_pool(g, cfg, pool)
+    assert calls == [10]
+    certify_sparse_pool(g, cfg, pool - {1})
+    g.delete_edge(1, delta + 1)
+    certify_sparse_pool(g, cfg, pool)
+    assert calls == [10]
 
 
 def _oracle_instance(kind: str, seed: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -202,7 +232,7 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
     n, cap, edges = _oracle_instance(kind, seed)
     g = build_graph(n, cap, edges)
     cfg = Config(epsilon=eps, zeta=1)
-    raw = compute_acd(g, cfg, certify=False)
+    raw = compute_acd(g, cfg)
     assert raw == brute_acd(g, cfg)  # same sparse set, same candidates in order
     m = all_neighborhood_edge_counts(g)
     half = cap * (cap - 1) // 2
@@ -212,10 +242,11 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
     floor_val = cfg.sparsity_floor() * cap
     below = [v for v in sorted(raw.sparse) if brute_force_sparsity(g, v) < floor_val]
     if below:
-        with pytest.raises(DecompositionFailed, match=rf"first: \[{below[0]}\b"):
-            compute_acd(g, cfg, certify=True)
+        message = f"{len(below)} unclustered vertices below the sparsity floor (first: {below[:5]})"
+        with pytest.raises(DecompositionFailed, match=f"^{re.escape(message)}$"):
+            certify_sparse_pool(g, cfg, raw.sparse)
     else:
-        assert compute_acd(g, cfg, certify=True) == raw
+        certify_sparse_pool(g, cfg, raw.sparse)
 
 
 def test_acd_peak_memory_stays_chunked():
@@ -226,7 +257,7 @@ def test_acd_peak_memory_stays_chunked():
     cfg = Config(epsilon=Fraction(1, 8), zeta=320)
     tracemalloc.start()
     try:
-        raw = compute_acd(g, cfg, certify=False)
+        raw = compute_acd(g, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,7 +296,7 @@ def test_refine_dissolves_at_boundary():
     n, edges = _complete_blocks(1, delta + 1)
     g = build_graph(n, delta, edges)
     g.delete_edge(1, 2)
-    raw = compute_acd(g, dense_cfg(), certify=False)
+    raw = compute_acd(g, dense_cfg())
     assert len(raw.candidates) == 1
 
     exact = Config(epsilon=Fraction(1, 8), zeta=1, delta_const=Fraction(14400))
@@ -387,7 +418,7 @@ def test_validator_flags_dense_vertex_in_sparse_set():
     delta = 10
     n, edges = _complete_blocks(1, delta + 1)
     g = build_graph(n, delta, edges)
-    d = trivial_decomposition(n)  # everything sparse, including K vertices
+    d = Decomposition(n)  # everything sparse, including K vertices
     cfg = dense_cfg(zeta=1)
     kinds = {v.kind for v in validate_decomposition(d, g, cfg)}
     assert kinds == {"sparsity"}

@@ -9,7 +9,7 @@ from dyncolor import engine as engine_mod
 from dyncolor.adversary import adversary_stream
 from dyncolor.config import Config
 from dyncolor.drive import drive
-from dyncolor.engine import Engine, PhaseRestart, Update
+from dyncolor.engine import Engine, EngineFailure, PhaseRestart, Update
 from dyncolor.instances import mixed_graph
 
 from conftest import dense_cfg, planted_engine, random_updates
@@ -258,6 +258,22 @@ def test_phase_restart_on_retry_exhaustion():
         eng.recolor_sparse(sparse)
 
 
+def test_rebuild_certifies_sparse_pool_above_512_vertices():
+    # 25 disjoint K_21 at epsilon = 1/110: adjacent members share 19 < 20
+    # neighbors, so no clique is found and every pooled vertex has
+    # sparsity 0; the phase start must refuse the partition at any n
+    delta, blocks = 20, 25
+    edges = [
+        (b * 21 + i, b * 21 + j)
+        for b in range(blocks)
+        for i in range(1, 22)
+        for j in range(i + 1, 22)
+    ]
+    cfg = Config(epsilon=Fraction(1, 110), zeta=1)
+    with pytest.raises(EngineFailure, match=r"^525 .* \(first: \[1, 2, 3, 4, 5\]\)$"):
+        Engine(21 * blocks, delta, cfg, seed=0, mode="phased", initial_edges=edges)
+
+
 def test_phase_boundary_triggers_fresh():
     eng, _ = planted_engine(seed=3, zeta=32)  # t = floor(32/16) = 2
     assert eng.phase.t == 2
@@ -345,7 +361,6 @@ def test_clique_instance_matches_recorded_digest(monkeypatch):
     edges, _ = mixed_graph(512, 64, seed=3)
     cfg = Config(epsilon=Fraction(1, 8), zeta=80)
     eng = Engine(512, 64, cfg, seed=5, mode="phased", initial_edges=edges)
-    assert eng.certify
     drive(eng, adversary_stream("matching", eng, 300, 9))
     assert eng.verify_now() == []
     assert eng.meter.restarts == 0

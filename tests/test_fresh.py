@@ -39,7 +39,6 @@ def test_fresh_mixed_instance_properties_pass():
     eng = Engine(
         n, delta, Config(epsilon=Fraction(1, 8), zeta=4), seed=3,
         mode="phased", initial_edges=edges, strict=True,
-        certify_decomposition=False,
     )
     assert verify_fresh_properties(eng.g, eng.decomp, eng.state, eng.cfg) == []
     assert eng.verify_now() == []

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncolor.decomposition import compute_acd, refine_to_sparser_denser, trivial_decomposition
+from dyncolor.decomposition import Decomposition, compute_acd, refine_to_sparser_denser
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import planted_clique_graph
 from dyncolor.state import ColorOutOfRange, ColoringState
@@ -90,7 +90,7 @@ def test_redundant_enters_at_two_and_leaves_at_one():
 def test_sparse_palette_examples():
     n, delta = 10, 4
     g = DynamicGraph(n, delta)
-    d = trivial_decomposition(n)
+    d = Decomposition(n)
     st_ = ColoringState(n, delta + 1, d)
     # no sparser neighbors -> full palette
     assert st_.sparse_palette(g, 1) == set(range(1, delta + 2))

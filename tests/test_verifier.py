@@ -49,10 +49,10 @@ def test_proper_fast_agrees_with_slow():
         n = rng.randint(2, 30)
         edges, cap = fuzz_graph(n, seed=trial)
         g = build_graph(n, cap, edges)
-        from dyncolor.decomposition import trivial_decomposition
+        from dyncolor.decomposition import Decomposition
         from dyncolor.state import ColoringState
 
-        state = ColoringState(n, cap + 1, trivial_decomposition(n))
+        state = ColoringState(n, cap + 1, Decomposition(n))
         for v in range(1, n + 1):
             state.set_color(
                 v, rng.choice([None] + list(range(1, cap + 2)))
