@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--delta", type=int, required=True)
     g.add_argument("--steps", type=int, required=True)
-    g.add_argument("--adversary", choices=["oblivious"], default="oblivious")
     g.add_argument("--density", type=float, default=0.5)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out", required=True)

@@ -1,4 +1,4 @@
-"""Tunable constants of the coloring engine.
+"""Tunable parameters and calibrated constants of the coloring engine.
 
 Ratios are stored as exact fractions so that threshold comparisons
 (clique dissolution, floor(8*a_D), sparsity tests) are deterministic.
@@ -13,6 +13,16 @@ from typing import Union
 
 Ratio = Union[Fraction, int, str, float]
 
+# stand-in for the unspecified universal constant of the decomposition
+# guarantee; scales the sparse/dense dispatch
+DELTA_CONST = 1
+# multiplier on gamma*zeta in the sparse-slack check
+SLACK_COEFF = 3
+# sparse-balance constant: classes hold <= C_BAL*(n/zeta + log2 n)
+C_BAL = 8
+# multiplier on the retry caps before a phase restart
+RETRY_SCALE = 8
+
 
 def _frac(x: Ratio) -> Fraction:
     if isinstance(x, Fraction):
@@ -25,40 +35,26 @@ def _frac(x: Ratio) -> Fraction:
 
 @dataclass(frozen=True)
 class Config:
-    """Density/sparsity parameters and engine constants.
+    """Density/sparsity parameters.
 
-    epsilon      almost-clique looseness, in (0, 1/6)
-    zeta         sparsity threshold, in [1, delta_cap]
-    gamma        phase-length factor: a phase is max(1, floor(gamma*zeta)) updates
-    delta_const  stand-in for the unspecified universal constant of the
-                 decomposition guarantee; scales the sparse/dense dispatch
-    slack_coeff  multiplier on gamma*zeta in the sparse-slack check
-    c_bal        sparse-balance constant: classes hold <= c_bal*(n/zeta + log2 n)
-    retry_scale  multiplier on the retry caps before a phase restart
+    epsilon  almost-clique looseness, in (0, 1/6)
+    zeta     sparsity threshold, in [1, delta_cap]
+    gamma    phase-length factor: a phase is max(1, floor(gamma*zeta)) updates
     """
 
     epsilon: Fraction = Fraction(1, 110)
     zeta: int = 1
     gamma: Fraction = Fraction(1, 16)
-    delta_const: Fraction = Fraction(1)
-    slack_coeff: Fraction = Fraction(3)
-    c_bal: Fraction = Fraction(8)
-    retry_scale: int = 8
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", _frac(self.epsilon))
         object.__setattr__(self, "gamma", _frac(self.gamma))
-        object.__setattr__(self, "delta_const", _frac(self.delta_const))
-        object.__setattr__(self, "slack_coeff", _frac(self.slack_coeff))
-        object.__setattr__(self, "c_bal", _frac(self.c_bal))
         if not 0 < self.epsilon < Fraction(1, 6):
             raise ValueError("epsilon must lie in (0, 1/6)")
         if self.zeta < 1:
             raise ValueError("zeta must be >= 1")
         if not 0 < self.gamma:
             raise ValueError("gamma must be positive")
-        if self.delta_const <= 0:
-            raise ValueError("delta_const must be positive")
 
     @property
     def phase_length(self) -> int:
@@ -70,25 +66,26 @@ class Config:
         Below the threshold the naive neighborhood-scanning recolorer is
         both simpler and faster.
         """
-        return delta_cap * self.epsilon**2 * self.delta_const >= self.zeta
+        return delta_cap * self.epsilon**2 * DELTA_CONST >= self.zeta
 
     def dissolve_threshold(self) -> Fraction:
         """Cliques with a_D + e_D at or above this are folded into S."""
-        return Fraction(50) * self.zeta / (self.delta_const * self.epsilon**2)
+        return Fraction(50) * self.zeta / (DELTA_CONST * self.epsilon**2)
 
     def sparsity_floor(self) -> Fraction:
         """Minimum sparsity certified for vertices left outside cliques."""
-        return self.epsilon**2 * self.delta_const  # multiplied by delta_cap
+        return self.epsilon**2 * DELTA_CONST  # multiplied by delta_cap
 
     def to_dict(self) -> dict:
+        """The parameters plus the constants a run used."""
         return {
             "epsilon": str(self.epsilon),
             "zeta": self.zeta,
             "gamma": str(self.gamma),
-            "delta_const": str(self.delta_const),
-            "slack_coeff": str(self.slack_coeff),
-            "c_bal": str(self.c_bal),
-            "retry_scale": self.retry_scale,
+            "delta_const": str(DELTA_CONST),
+            "slack_coeff": str(SLACK_COEFF),
+            "c_bal": str(C_BAL),
+            "retry_scale": RETRY_SCALE,
         }
 
 

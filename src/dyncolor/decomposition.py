@@ -34,21 +34,12 @@ class DecompositionFailed(Exception):
 # sparsity
 
 
-def sparsity(g: DynamicGraph, v: int) -> Fraction:
-    """Edge deficit of G[N(v)] against a full clique, normalized by the cap.
-
-    v is zeta-sparse iff zeta <= sparsity(g, v).
-    """
-    nbrs = g.adj[v]
-    twice_m = 0
-    for u in nbrs:
-        twice_m += len(g.adj[u] & nbrs)
-    d = g.delta_cap
-    return Fraction(d * (d - 1) // 2 - twice_m // 2, d)
-
-
 def all_neighborhood_edge_counts(g: DynamicGraph) -> np.ndarray:
     """m_v (edges inside G[N(v)]) for every vertex, index v-1.
+
+    The sparsity of v is (cap*(cap-1)/2 - m_v)/cap, the edge deficit of
+    G[N(v)] against a full clique normalized by the cap; v is zeta-sparse
+    iff zeta <= its sparsity.
 
     Each edge {u, v} lies on |N(u) & N(v)| triangles, one popcount of two
     bit rows; summing that over the edges at v counts every edge of
@@ -147,12 +138,16 @@ class Clique:
     members: set[int]
     anti_edges: SampleSet  # (u, v) pairs with u < v
     sum_ext: int = 0
-    sum_anti: int = 0
     inliers: set[int] = field(default_factory=set)
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def sum_anti(self) -> int:
+        """Sum of a_v over the members: each anti-edge counts at both ends."""
+        return 2 * len(self.anti_edges)
 
     @property
     def avg_anti(self) -> Fraction:
@@ -217,7 +212,6 @@ class Decomposition:
             c.anti_edges.discard((u, v) if u < v else (v, u))
             self.anti[u].discard(v)
             self.anti[v].discard(u)
-            c.sum_anti -= 2
         else:
             if iu is not None:
                 self.ext[u].add(v)
@@ -233,7 +227,6 @@ class Decomposition:
             c.anti_edges.add((u, v) if u < v else (v, u))
             self.anti[u].add(v)
             self.anti[v].add(u)
-            c.sum_anti += 2
         else:
             if iu is not None:
                 self.ext[u].discard(v)
@@ -299,7 +292,7 @@ def certify_sparse_pool(g: DynamicGraph, cfg: Config, sparse: set[int]) -> None:
     """Raise DecompositionFailed unless every vertex in sparse clears the
     sparsity floor.
 
-    sparsity(v) < floor iff m_v > limit, and m_v <= deg(v)(deg(v)-1)/2,
+    v is below the floor iff m_v > limit, and m_v <= deg(v)(deg(v)-1)/2,
     so edges inside neighborhoods are counted only when some pooled
     vertex has the degree to exceed the limit.
     """
@@ -390,9 +383,7 @@ def refine_to_sparser_denser(
         kept.append((cand, members, e, a))
 
     for i, (cand, members, e, a) in enumerate(kept):
-        clique = Clique(
-            index=i, members=cand, anti_edges=SampleSet(), sum_ext=sum(e), sum_anti=sum(a)
-        )
+        clique = Clique(index=i, members=cand, anti_edges=SampleSet(), sum_ext=sum(e))
         for v, e_v, a_v in zip(members, e, a):
             d.part[v] = i
             # the same set expressions as a from-scratch scan, for the
@@ -427,13 +418,11 @@ def validate_decomposition(
     size_cap = math.floor((1 + eps) * cap)
     threshold = cfg.dissolve_threshold()
 
-    for v in range(1, d.n + 1):
-        if d.part[v] is None and sparsity(g, v) < cfg.zeta:
-            out.append(
-                Violation(
-                    "sparsity", f"v={v}", f"zeta*={sparsity(g, v)} < zeta={cfg.zeta}"
-                )
-            )
+    m = all_neighborhood_edge_counts(g)
+    for v in d.sparse_vertices:
+        zeta_v = Fraction(cap * (cap - 1) // 2 - int(m[v - 1]), cap)
+        if zeta_v < cfg.zeta:
+            out.append(Violation("sparsity", f"v={v}", f"zeta*={zeta_v} < zeta={cfg.zeta}"))
 
     for c in d.cliques:
         loc = f"clique={c.index}"
@@ -479,8 +468,4 @@ def validate_decomposition(
         }
         if set(c.anti_edges) != true_f:
             out.append(Violation("anti-edge-set", loc, "F_D out of sync"))
-        elif 2 * len(c.anti_edges) != c.sum_anti:
-            out.append(
-                Violation("aggregate", loc, "|F_D| inconsistent with sum of a_v")
-            )
     return out

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import fresh as fresh_mod
-from .config import Config
+from .config import RETRY_SCALE, Config
 from .decomposition import (
     DecompositionFailed,
     Decomposition,
@@ -74,9 +74,9 @@ class CostReport:
 @dataclass
 class PhaseController:
     t: int
+    retry_cap_sparse: int
+    retry_cap_matching: int
     counter: int = 0
-    retry_cap_sparse: int = 0
-    retry_cap_matching: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,13 @@ class Engine:
         # all vertices sparser until a phase starts; the naive mode keeps it
         self.decomp = Decomposition(n)
         self.state = ColoringState(n, delta_cap + 1, self.decomp)
-        self.phase = PhaseController(t=cfg.phase_length)
+        t = cfg.phase_length
+        log_n = max(1, math.ceil(math.log2(max(2, n))))
+        self.phase = PhaseController(
+            t=t,
+            retry_cap_sparse=math.ceil(RETRY_SCALE * (delta_cap + 1) / t) * log_n,
+            retry_cap_matching=RETRY_SCALE * log_n,
+        )
         self._update_sparse_recolors = 0
         self._update_steals = 0
         self.updates_applied = 0
@@ -140,7 +146,6 @@ class Engine:
         except DecompositionFailed as exc:
             raise EngineFailure(str(exc)) from exc
         self.decomp = refine_to_sparser_denser(raw, self.g, self.cfg)
-        self._set_caps()
         before = self.meter.total_ops()
         last_err: Exception | None = None
         for attempt in range(FRESH_RETRIES + 1):
@@ -157,15 +162,6 @@ class Engine:
         self.meter.fresh_runs += 1
         self.fresh_reports.append(report)
         self.phase.counter = 0
-
-    def _set_caps(self) -> None:
-        n, d = self.g.n, self.g.delta_cap
-        log_n = max(1, math.ceil(math.log2(max(2, n))))
-        t = self.phase.t
-        self.phase.retry_cap_sparse = (
-            math.ceil(self.cfg.retry_scale * (d + 1) / t) * log_n
-        )
-        self.phase.retry_cap_matching = math.ceil(self.cfg.retry_scale * log_n)
 
     def _naive_color_all(self) -> None:
         for v in range(1, self.g.n + 1):
@@ -239,12 +235,7 @@ class Engine:
             # covers u's clique whenever a pair was broken, not only the
             # same-clique case
             for ci in {i for i in (unmatched_clique, iu if iu == iv else None) if i is not None}:
-                c = self.decomp.cliques[ci]
-                # loop, not a single augmentation: recoloring a new pair
-                # can strip a color whose two holders were an unmatched
-                # coincidence, leaving the matching size unchanged
-                while st.matching_size(ci) < c.matching_target():
-                    self.add_anti_edge_matching(ci)
+                self.restore_matching(ci)
         if st.phi[u] is None:
             self._dispatch_recolor(u)
 
@@ -254,9 +245,7 @@ class Engine:
             self.decomp.apply_delete(u, v)
             iu, iv = self.decomp.part[u], self.decomp.part[v]
             if iu is not None and iu == iv:
-                c = self.decomp.cliques[iu]
-                while self.state.matching_size(iu) < c.matching_target():
-                    self.add_anti_edge_matching(iu)
+                self.restore_matching(iu)
 
     def _dispatch_recolor(self, u: int) -> None:
         if self.mode == "naive":
@@ -446,6 +435,17 @@ class Engine:
             return
         raise PhaseRestart(f"matching retry cap at pair ({u},{v})")
 
+    def restore_matching(self, ci: int) -> None:
+        """Augment clique ci's colorful matching up to floor(8*a_D).
+
+        A loop, not a single augmentation: recoloring a new pair can strip
+        a color whose two holders were an unmatched coincidence, leaving
+        the matching size unchanged.
+        """
+        target = self.decomp.cliques[ci].matching_target()
+        while self.state.matching_size(ci) < target:
+            self.add_anti_edge_matching(ci)
+
     def add_anti_edge_matching(self, ci: int) -> None:
         st = self.state
         c = self.decomp.cliques[ci]
@@ -457,8 +457,8 @@ class Engine:
             if st.matched[x] is None and st.matched[y] is None:
                 # the pair ends matched on a shared color, but the size
                 # of the derived matching may stay flat when the new
-                # colors break coincidental two-holder colors; callers
-                # loop until their target is met
+                # colors break coincidental two-holder colors;
+                # restore_matching loops until its target is met
                 self.recolor_matching(x, y)
                 if self.strict:
                     assert st.matched[x] == y

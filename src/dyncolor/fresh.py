@@ -13,6 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
+from .config import RETRY_SCALE
+
 if TYPE_CHECKING:
     from .engine import Engine
 
@@ -54,9 +56,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
     sparse_trials = eng.meter.color_trials - sparse_before
 
     for c in eng.decomp.cliques:
-        target = c.matching_target()
-        while st.matching_size(c.index) < target:
-            eng.add_anti_edge_matching(c.index)
+        eng.restore_matching(c.index)
         outliers = sorted(c.members - c.inliers)
         for v in outliers:
             if st.phi[v] is None:
@@ -118,7 +118,7 @@ def color_dense(eng: "Engine", v: int) -> None:
     palette = st.clique_palette[ci]
     log_n = max(1, math.ceil(math.log2(max(2, eng.g.n))))
     adj_v = eng.g.adj[v]
-    cap = eng.cfg.retry_scale * max(1, len(palette)) * log_n
+    cap = RETRY_SCALE * max(1, len(palette)) * log_n
     for _ in range(cap):
         if not len(palette):
             raise FreshFailed(f"clique palette exhausted in clique {ci}")

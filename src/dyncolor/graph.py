@@ -108,14 +108,6 @@ class DynamicGraph:
             self._ev[i] = lv
             self._pos[lu * n1 + lv] = i
 
-    def copy(self) -> "DynamicGraph":
-        g = DynamicGraph(self.n, self.delta_cap)
-        g.adj = [set(s) for s in self.adj]
-        g._eu = array("i", self._eu)
-        g._ev = array("i", self._ev)
-        g._pos = dict(self._pos)
-        return g
-
     def assert_consistent(self) -> None:
         """Debug check: symmetry, no self-loops, cap, slot/adjacency agreement."""
         seen = set()

@@ -50,11 +50,6 @@ class SampleSet:
             self._items[i] = last
             self._pos[last] = i
 
-    def remove(self, x: Hashable) -> None:
-        if x not in self._pos:
-            raise KeyError(x)
-        self.discard(x)
-
     def sample(self, rng: Random):
         """Uniform element; raises IndexError on an empty set."""
         if not self._items:

@@ -10,8 +10,6 @@ two holders, which is what makes floor(8*a_D) comparisons testable.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .decomposition import Decomposition
 from .graph import DynamicGraph
 from .sets import SampleSet
@@ -37,8 +35,6 @@ class ColoringState:
         ]
         self.redundant: list[set[int]] = [set() for _ in decomp.cliques]
         self.matched: list[int | None] = [None] * (n + 1)
-        # integer mirror of phi (0 = uncolored) for vectorized sweeps
-        self.phi_np = np.zeros(n + 1, dtype=np.int32)
 
     # -- core mutation ------------------------------------------------------
 
@@ -60,7 +56,6 @@ class ColoringState:
                     del self.clique_classes[ci][old]
                     self.clique_palette[ci].add(old)
         self.phi[v] = chi
-        self.phi_np[v] = 0 if chi is None else chi
         if chi is not None:
             self.classes[chi].add(v)
             if ci is not None:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import Config
+from .config import C_BAL, SLACK_COEFF, Config
 from .decomposition import Decomposition, RawPartition
 from .graph import DynamicGraph
 from .report import Violation
@@ -20,7 +20,8 @@ from .state import ColoringState
 
 
 def brute_force_sparsity(g: DynamicGraph, v: int) -> Fraction:
-    """Triple-loop edge count inside G[N(v)]; oracle twin of sparsity()."""
+    """Triple-loop edge count inside G[N(v)]; oracle of
+    all_neighborhood_edge_counts."""
     nbrs = sorted(g.adj[v])
     m = 0
     for i, u in enumerate(nbrs):
@@ -84,17 +85,6 @@ def brute_clique_palette(state: ColoringState, members: set[int]) -> set[int]:
     return set(range(1, state.num_colors + 1)) - used
 
 
-def brute_sparse_palette(
-    g: DynamicGraph, decomp: Decomposition, state: ColoringState, v: int
-) -> set[int]:
-    used = {
-        state.phi[u]
-        for u in g.adj[v]
-        if decomp.part[u] is None and state.phi[u] is not None
-    }
-    return set(range(1, state.num_colors + 1)) - used
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -102,8 +92,9 @@ def brute_sparse_palette(
 def check_proper_fast(g: DynamicGraph, state: ColoringState) -> list[Violation]:
     """Vectorized propriety sweep; falls back to the slow scan only to
     describe a violation once one is detected."""
-    phi = state.phi_np
-    if g.n and (phi[1:] == 0).any():
+    # uncolored (None) becomes NaN, which equals nothing
+    phi = np.array(state.phi, dtype=np.float64)
+    if np.isnan(phi[1:]).any():
         return check_proper(g, state)
     if g.edge_count:
         eu = np.frombuffer(g._eu, dtype=np.int32)
@@ -153,10 +144,10 @@ def check_view_consistency(
 def check_sparse_slack(
     g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
 ) -> list[Violation]:
-    """Every sparser vertex keeps slack_coeff*gamma*zeta colors unused by
+    """Every sparser vertex keeps SLACK_COEFF*gamma*zeta colors unused by
     its sparser neighbors."""
     out: list[Violation] = []
-    slack_floor = cfg.slack_coeff * cfg.gamma * cfg.zeta
+    slack_floor = SLACK_COEFF * cfg.gamma * cfg.zeta
     for v in range(1, g.n + 1):
         if decomp.part[v] is None:
             slack = len(state.sparse_palette(g, v))
@@ -174,7 +165,7 @@ def check_balance(
     """Mid-phase color-class size bound for the sparse part."""
     out: list[Violation] = []
     n = state.n
-    cap = cfg.c_bal * (
+    cap = C_BAL * (
         Fraction(n, cfg.zeta)
         + Fraction(phase_elapsed, cfg.zeta)
         + Fraction(math.ceil(math.log2(max(2, n))))

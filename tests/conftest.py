@@ -9,6 +9,7 @@ import hypothesis
 import pytest
 
 from dyncolor.config import Config
+from dyncolor.decomposition import all_neighborhood_edge_counts
 from dyncolor.engine import Engine, Update
 from dyncolor.graph import DynamicGraph
 
@@ -23,6 +24,14 @@ def build_graph(n: int, delta_cap: int, edges) -> DynamicGraph:
     for u, v in edges:
         g.insert_edge(u, v)
     return g
+
+
+def kernel_sparsity(g: DynamicGraph) -> list[Fraction]:
+    """Sparsity of every vertex (index v-1) from all_neighborhood_edge_counts,
+    the kernel certification runs; one call per graph."""
+    cap = g.delta_cap
+    half = cap * (cap - 1) // 2
+    return [Fraction(half - int(m), cap) for m in all_neighborhood_edge_counts(g)]
 
 
 def dense_cfg(zeta: int = 1) -> Config:

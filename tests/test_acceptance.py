@@ -22,12 +22,7 @@ import pytest
 from dyncolor import adversary as adv
 from dyncolor.cli import fit_slope, main as cli_main, resolve_epsilon, scaling_row
 from dyncolor.config import Config, auto_zeta
-from dyncolor.decomposition import (
-    RawPartition,
-    compute_acd,
-    refine_to_sparser_denser,
-    sparsity,
-)
+from dyncolor.decomposition import RawPartition, compute_acd, refine_to_sparser_denser
 from dyncolor.drive import drive
 from dyncolor.engine import Engine
 from dyncolor.graph import DynamicGraph
@@ -36,9 +31,10 @@ from dyncolor.state import ColoringState
 from dyncolor.verify import (
     brute_clique_palette,
     brute_force_sparsity,
-    brute_sparse_palette,
     verify_fresh_properties,
 )
+
+from conftest import kernel_sparsity
 
 SEED = 1000
 ADVERSARY_STEPS = 50_000
@@ -224,9 +220,14 @@ def test_criterion_3_oracle_equivalence():
         for v in range(1, n + 1):
             st.set_color(v, rng.choice([None] + list(range(1, delta + 2))))
 
+        assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
         for v in range(1, n + 1):
-            assert sparsity(g, v) == brute_force_sparsity(g, v)
-            assert st.sparse_palette(g, v) == brute_sparse_palette(g, d, st, v)
+            # the palette agrees with the class view the recolorer scans
+            assert st.sparse_palette(g, v) == {
+                chi
+                for chi in range(1, delta + 2)
+                if not any(u in g.adj[v] and d.part[u] is None for u in st.classes[chi])
+            }
 
         rb = ColoringState.rebuild(n, delta + 1, d, st.phi, st.matched)
         assert st.classes == rb.classes

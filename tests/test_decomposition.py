@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncolor import decomposition as decomposition_mod
+from dyncolor import config as config_mod, decomposition as decomposition_mod
 from dyncolor.config import Config
 from dyncolor.decomposition import (
     Decomposition,
@@ -16,14 +16,13 @@ from dyncolor.decomposition import (
     classify_inliers,
     compute_acd,
     refine_to_sparser_denser,
-    sparsity,
     validate_decomposition,
 )
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import fuzz_graph, mixed_graph, planted_clique_graph, random_graph
 from dyncolor.verify import brute_acd, brute_force_sparsity
 
-from conftest import build_graph, dense_cfg
+from conftest import build_graph, dense_cfg, kernel_sparsity
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ def test_sparsity_star_center():
     g = DynamicGraph(delta + 1, delta)
     for leaf in range(2, delta + 2):
         g.insert_edge(1, leaf)
-    assert sparsity(g, 1) == Fraction(delta - 1, 2)
+    assert brute_force_sparsity(g, 1) == Fraction(delta - 1, 2)
 
 
 def test_sparsity_complete_graph():
@@ -45,14 +44,13 @@ def test_sparsity_complete_graph():
     for u in range(1, delta + 2):
         for v in range(u + 1, delta + 2):
             g.insert_edge(u, v)
-    assert sparsity(g, 1) == 0
+    assert brute_force_sparsity(g, 1) == 0
 
 
 def test_sparsity_matches_brute_force_random():
     edges = random_graph(30, 12, 0.4, seed=5)
     g = build_graph(30, 12, edges)
-    for v in range(1, 31):
-        assert sparsity(g, v) == brute_force_sparsity(g, v)
+    assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, 31)]
 
 
 @given(st.integers(0, 10_000))
@@ -63,8 +61,7 @@ def test_sparsity_oracle_equivalence_fuzz(seed):
     cap = rng.randint(2, n - 1)
     edges = random_graph(n, cap, rng.uniform(0.05, 0.9), seed=seed)
     g = build_graph(n, cap, edges)
-    for v in range(1, n + 1):
-        assert sparsity(g, v) == brute_force_sparsity(g, v)
+    assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
 
 
 def test_neighborhood_edge_counts_bitsets_vs_loops():
@@ -186,7 +183,7 @@ def test_certify_counts_only_vertices_the_degree_bound_admits(monkeypatch):
     delta = 8
     g = build_graph(10, delta, [(1, leaf) for leaf in range(2, delta + 2)])
     cfg = dense_cfg()
-    assert sparsity(g, 1) == Fraction(delta - 1, 2) >= cfg.sparsity_floor() * delta
+    assert brute_force_sparsity(g, 1) == Fraction(delta - 1, 2) >= cfg.sparsity_floor() * delta
     pool = compute_acd(g, cfg).sparse
     assert pool == set(range(1, 11))
     certify_sparse_pool(g, cfg, pool)
@@ -234,10 +231,7 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
     cfg = Config(epsilon=eps, zeta=1)
     raw = compute_acd(g, cfg)
     assert raw == brute_acd(g, cfg)  # same sparse set, same candidates in order
-    m = all_neighborhood_edge_counts(g)
-    half = cap * (cap - 1) // 2
-    for v in range(1, n + 1):
-        assert brute_force_sparsity(g, v) == Fraction(half - int(m[v - 1]), cap)
+    assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
     # certification fails exactly when some pooled vertex is below the floor
     floor_val = cfg.sparsity_floor() * cap
     below = [v for v in sorted(raw.sparse) if brute_force_sparsity(g, v) < floor_val]
@@ -288,10 +282,10 @@ def test_refine_keeps_tight_clique():
     assert d.sparse_vertices == []
 
 
-def test_refine_dissolves_at_boundary():
+def test_refine_dissolves_at_boundary(monkeypatch):
     # the dissolution test is inclusive: a_C + e_C == threshold dissolves.
-    # K_9 minus one edge has a_C = 2/9 and e_C = 0; delta_const is tuned
-    # so the threshold 50*zeta/(delta_const*eps^2) equals 2/9 exactly.
+    # K_9 minus one edge has a_C = 2/9 and e_C = 0; DELTA_CONST is tuned
+    # so the threshold 50*zeta/(DELTA_CONST*eps^2) equals 2/9 exactly.
     delta = 8
     n, edges = _complete_blocks(1, delta + 1)
     g = build_graph(n, delta, edges)
@@ -299,16 +293,17 @@ def test_refine_dissolves_at_boundary():
     raw = compute_acd(g, dense_cfg())
     assert len(raw.candidates) == 1
 
-    exact = Config(epsilon=Fraction(1, 8), zeta=1, delta_const=Fraction(14400))
-    assert exact.dissolve_threshold() == Fraction(2, 9)
-    d = refine_to_sparser_denser(raw, g, exact)
+    cfg = Config(epsilon=Fraction(1, 8), zeta=1)
+    monkeypatch.setattr(config_mod, "DELTA_CONST", 14400)
+    assert cfg.dissolve_threshold() == Fraction(2, 9)
+    d = refine_to_sparser_denser(raw, g, cfg)
     assert d.cliques == []
     assert set(d.sparse_vertices) == set(range(1, n + 1))
 
     # just below the boundary the clique is retained
-    below = Config(epsilon=Fraction(1, 8), zeta=1, delta_const=Fraction(14399))
-    assert below.dissolve_threshold() > Fraction(2, 9)
-    d2 = refine_to_sparser_denser(raw, g, below)
+    monkeypatch.setattr(config_mod, "DELTA_CONST", 14399)
+    assert cfg.dissolve_threshold() > Fraction(2, 9)
+    d2 = refine_to_sparser_denser(raw, g, cfg)
     assert len(d2.cliques) == 1
 
 
@@ -367,13 +362,14 @@ def test_inlier_boundary_is_inclusive():
     from dyncolor.decomposition import Clique
     from dyncolor.sets import SampleSet
 
-    # 8 members; one vertex holds a_v = 8 * a_D exactly -> still an inlier
+    # 8 members; one vertex holds a_v = 8 * a_D exactly -> still an inlier.
+    # Four anti-edges make sum_anti = 8, so a_D = 1 and 8*a_D = 8 = a_1
     members = set(range(1, 9))
-    c = Clique(index=0, members=members, anti_edges=SampleSet())
+    anti_edges = SampleSet([(1, 2), (3, 4), (5, 6), (7, 8)])
+    c = Clique(index=0, members=members, anti_edges=anti_edges)
+    assert c.sum_anti == 8
     av = {v: 0 for v in members}
-    av[1] = 8  # sum_anti = 8, a_D = 1, 8*a_D = 8 = a_1
-    c.sum_anti = sum(av.values())
-    c.sum_ext = 0
+    av[1] = 8
     ev = {v: 0 for v in members}
     inl = classify_inliers(c, ev, av)
     assert 1 in inl

@@ -20,7 +20,7 @@ from conftest import dense_cfg, planted_engine, random_updates
 
 
 def test_auto_mode_respects_threshold():
-    # naive iff delta * eps^2 * delta_const < zeta
+    # naive iff delta * eps^2 * DELTA_CONST < zeta
     cfg = dense_cfg(zeta=1)
     assert Engine(100, 64, cfg, seed=0).mode == "phased"
     assert Engine(100, 63, cfg, seed=0).mode == "naive"

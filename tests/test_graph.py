@@ -79,17 +79,6 @@ def test_bad_construction():
         DynamicGraph(5, 5)
 
 
-def test_copy_is_independent():
-    g = DynamicGraph(5, 3)
-    g.insert_edge(1, 2)
-    h = g.copy()
-    h.insert_edge(3, 4)
-    assert not g.has_edge(3, 4)
-    assert h.has_edge(1, 2)
-    g.assert_consistent()
-    h.assert_consistent()
-
-
 def test_flat_edge_arrays_track_edge_list():
     g = DynamicGraph(8, 5)
     for u, v in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]:

@@ -20,16 +20,6 @@ def test_basic_ops():
     assert len(s) == 1
 
 
-def test_remove_missing_raises():
-    s = SampleSet([1])
-    try:
-        s.remove(2)
-    except KeyError:
-        pass
-    else:
-        raise AssertionError("expected KeyError")
-
-
 def test_sample_uniformity():
     s = SampleSet(range(5))
     rng = random.Random(0)

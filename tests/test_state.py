@@ -43,7 +43,6 @@ def test_set_color_roundtrip():
     )
     assert before == after
     assert st_.phi[v] is None
-    assert st_.phi_np[v] == 0
 
 
 def test_color_out_of_range():
@@ -197,4 +196,3 @@ def test_rebuild_equals_incremental(seed):
         set(p) for p in st_.clique_palette
     ]
     assert rebuilt.redundant == st_.redundant
-    assert (rebuilt.phi_np == st_.phi_np).all()

@@ -2,7 +2,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from dyncolor.decomposition import sparsity
 from dyncolor.instances import fuzz_graph
 from dyncolor.verify import (
     brute_force_sparsity,
@@ -13,7 +12,7 @@ from dyncolor.verify import (
     verify_fresh_properties,
 )
 
-from conftest import build_graph, planted_engine
+from conftest import build_graph, kernel_sparsity, planted_engine
 
 
 # ---------------------------------------------------------------------------
@@ -165,5 +164,4 @@ def test_sparsity_matches_brute_force(seed):
     n = rng.randint(2, 24)
     edges, cap = fuzz_graph(n, seed=seed)
     g = build_graph(n, cap, edges)
-    for v in range(1, n + 1):
-        assert sparsity(g, v) == brute_force_sparsity(g, v)
+    assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
