@@ -50,9 +50,6 @@ class AdversaryView:
     def edge_count(self) -> int:
         return self._engine.g.edge_count
 
-    def color_of(self, v: int) -> int | None:
-        return self._engine.state.phi[v]
-
     def degree(self, v: int) -> int:
         return self._engine.g.degree(v)
 

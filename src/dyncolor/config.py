@@ -89,5 +89,11 @@ class Config:
         }
 
 
+def ceil_log2(n: int) -> int:
+    """The log n of the retry caps and the balance bound: ceil(log2 n),
+    at least 1."""
+    return math.ceil(math.log2(max(2, n)))
+
+
 def auto_zeta(n: int) -> int:
     return max(1, math.ceil(n ** (2.0 / 3.0)))

@@ -6,15 +6,22 @@ sets and the per-clique aggregates drift with edge updates.  Aggregates
 are exact integers, and every floor/threshold comparison is made in
 integer or rational arithmetic, never in floating point.
 
-The rebuild works over the graph's flat edge arrays: neighborhoods are
-packed into uint64 bit rows, so common-neighbor counts are exact
-popcounts, and intra-clique degrees are one bincount over same-label
-edges.
+The rebuild reads degrees off the adjacency sets once and packs the
+neighborhoods of the high-degree core into uint64 bit rows built from
+the graph's flat edge arrays, so common-neighbor counts are exact
+popcounts.  The friendship components of the core come from a spanning
+forest: each core vertex is tested against its smallest core neighbor,
+then only the core edges between the components found so far are
+tested, so most edges inside a component are never popcounted.
+Intra-candidate degrees are one bincount over same-label core edges;
+RawPartition carries both degree arrays on to certification and
+refinement.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,8 +63,9 @@ def all_neighborhood_edge_counts(g: DynamicGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # vectorised counts over the flat edge arrays
 
-# bytes per temporary array in the bit-row kernels: the work is cut into
-# chunks of this size, so a rebuild's peak memory stays flat in n and the
+# bytes per temporary array in the bit-row kernels: the unpacked rows of
+# _bit_rows and the ANDed row pairs of _row_overlaps are cut into chunks
+# of this size, so a rebuild's peak memory stays flat in n and the
 # temporaries stay in cache
 _CHUNK_BYTES = 1 << 18
 
@@ -74,10 +82,6 @@ def _edge_endpoints(g: DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _degrees(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    return np.bincount(eu, minlength=n + 1) + np.bincount(ev, minlength=n + 1)
-
-
 def _bit_rows(rows: np.ndarray, n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Packed neighborhoods, one uint64 row per vertex v with rows[v] >= 0.
 
@@ -85,24 +89,24 @@ def _bit_rows(rows: np.ndarray, n: int, eu: np.ndarray, ev: np.ndarray) -> np.nd
     popcounts of ANDed rows are common-neighbor counts.
     """
     k = int(rows.max()) + 1
-    src = np.concatenate((eu, ev))
+    r = np.concatenate((rows[eu], rows[ev]))
     dst = np.concatenate((ev, eu))
-    r = rows[src]
     keep = r >= 0
     r, dst = r[keep], dst[keep]
     col = np.zeros(n + 1, dtype=np.int64)
     col[dst] = 1
     np.cumsum(col, out=col)
-    dst = col[dst] - 1
     width = max(64, -(-int(col[-1]) // 64) * 64)
-    out = np.empty((k, width // 8), dtype=np.uint8)
     step = max(1, _CHUNK_BYTES // width)
-    for lo in range(0, k, step):
-        sel = (r >= lo) & (r < lo + step)
-        block = np.zeros((min(step, k - lo), width), dtype=bool)
-        block[r[sel] - lo, dst[sel]] = True
-        out[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
-    return out.view(np.uint64)
+    # flat bit index of each entry, and the chunk of rows it falls in
+    pos = r * width + col[dst] - 1
+    chunk = r // step
+    out = np.empty(k * width // 8, dtype=np.uint8)
+    for c, lo in enumerate(range(0, k * width, step * width)):
+        block = np.zeros(min(step * width, k * width - lo), dtype=bool)
+        block[pos[chunk == c] - lo] = True
+        out[lo // 8 : (lo + len(block)) // 8] = np.packbits(block, bitorder="little")
+    return out.view(np.uint64).reshape(k, -1)
 
 
 def _row_overlaps(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -114,18 +118,6 @@ def _row_overlaps(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         both &= np.take(bits, j[lo : lo + step], axis=0)
         out[lo : lo + step] = np.bitwise_count(both).sum(axis=1)
     return out
-
-
-def _intra_degrees(
-    n: int, candidates: list[set[int]], eu: np.ndarray, ev: np.ndarray
-) -> np.ndarray:
-    """Per vertex id, its neighbors inside its own (disjoint) candidate."""
-    label = np.full(n + 1, -1, dtype=np.int64)
-    for i, cand in enumerate(candidates):
-        label[np.fromiter(cand, dtype=np.int64, count=len(cand))] = i
-    lu = label[eu]
-    same = (lu >= 0) & (lu == label[ev])
-    return _degrees(n, eu[same], ev[same])
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +163,10 @@ class Clique:
 class RawPartition:
     sparse: set[int]
     candidates: list[set[int]]  # pairwise disjoint
+    # per vertex id: its degree, and (on candidate members) its neighbors
+    # inside its own candidate; certification and refinement read them
+    deg: np.ndarray = field(compare=False, repr=False)
+    intra: np.ndarray = field(compare=False, repr=False)
 
 
 class Decomposition:
@@ -244,11 +240,12 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     """Almost-clique candidates via neighborhood-similarity clustering.
 
     Only vertices of degree >= (1-eps)*cap can belong to an almost-clique,
-    which keeps the quadratic similarity step confined to the (usually
-    tiny) high-degree core.  Two adjacent core vertices are friends when
-    they share at least (1-2*eps)*cap neighbors; the friendship components
-    of size >= (1-eps)*cap are the candidates, in order of their smallest
-    vertex.  Candidates are verified against the almost-clique definition;
+    which confines the similarity step to the (usually small) high-degree
+    core.  Two adjacent core vertices are friends when they share at
+    least (1-2*eps)*cap neighbors; the friendship components of size
+    >= (1-eps)*cap are the candidates, in order of their smallest vertex,
+    found by _friend_components without popcounting every core edge.
+    Candidates are verified against the almost-clique definition;
     vertices of failed candidates fall back to the sparse pool, which
     certify_sparse_pool checks.
     """
@@ -256,41 +253,51 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     eps = cfg.epsilon
     deg_floor = math.ceil((1 - eps) * d)
     sim_floor = math.ceil((1 - 2 * eps) * d)
+    size_cap = math.floor((1 + eps) * d)
 
-    eu, ev = _edge_endpoints(g)
-    core = np.flatnonzero(_degrees(g.n, eu, ev) >= deg_floor)
-    candidates: list[set[int]] = []
+    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n + 1)
+    intra = np.zeros(g.n + 1, dtype=np.int64)
+    sparse = set(range(1, g.n + 1))
+    accepted: list[set[int]] = []
+    core = np.flatnonzero(deg >= deg_floor)
     if len(core):
+        k = len(core)
+        eu, ev = _edge_endpoints(g)
         rows = np.full(g.n + 1, -1, dtype=np.int64)
-        rows[core] = np.arange(len(core))
+        rows[core] = np.arange(k)
         bits = _bit_rows(rows, g.n, eu, ev)
         ru, rv = rows[eu], rows[ev]
         inside = (ru >= 0) & (rv >= 0)
         ru, rv = ru[inside], rv[inside]
-        friend = _row_overlaps(bits, ru, rv) >= sim_floor
-        for comp in _components(len(core), ru[friend], rv[friend], deg_floor):
-            # insertion order fixes the set's iteration order, which the
-            # anti-neighbor sets and so the anti-edge sampling inherit
-            candidates.append(set(core[comp].tolist()))
 
-    sparse = set(range(1, g.n + 1))
-    accepted: list[set[int]] = []
-    size_cap = math.floor((1 + eps) * d)
-    intra = _intra_degrees(g.n, candidates, eu, ev)
-    for cand in candidates:
-        if len(cand) > size_cap:
-            continue
-        members = np.fromiter(cand, dtype=np.int64, count=len(cand))
-        if intra[members].min() >= deg_floor:
-            accepted.append(cand)
-            sparse -= cand
+        def core_nbrs(x: int) -> np.ndarray:
+            adj = g.adj[int(core[x])]
+            r = rows[np.fromiter(adj, dtype=np.int64, count=len(adj))]
+            return np.sort(r[r >= 0])
 
-    return RawPartition(sparse=sparse, candidates=accepted)
+        comps = _friend_components(bits, ru, rv, sim_floor, deg_floor, core_nbrs)
+        # intra-candidate degrees: one bincount over same-label core edges
+        label = np.full(k, -1, dtype=np.int64)
+        for i, comp in enumerate(comps):
+            label[comp] = i
+        lu = label[ru]
+        same = (lu >= 0) & (lu == label[rv])
+        intra[core] = np.bincount(ru[same], minlength=k) + np.bincount(rv[same], minlength=k)
+        for comp in comps:
+            members = core[comp]
+            if len(comp) <= size_cap and intra[members].min() >= deg_floor:
+                # insertion order fixes the set's iteration order, which the
+                # anti-neighbor sets and so the anti-edge sampling inherit
+                cand = set(members.tolist())
+                accepted.append(cand)
+                sparse -= cand
+
+    return RawPartition(sparse=sparse, candidates=accepted, deg=deg, intra=intra)
 
 
-def certify_sparse_pool(g: DynamicGraph, cfg: Config, sparse: set[int]) -> None:
-    """Raise DecompositionFailed unless every vertex in sparse clears the
-    sparsity floor.
+def certify_sparse_pool(g: DynamicGraph, cfg: Config, raw: RawPartition) -> None:
+    """Raise DecompositionFailed unless every vertex in raw.sparse clears
+    the sparsity floor.
 
     v is below the floor iff m_v > limit, and m_v <= deg(v)(deg(v)-1)/2,
     so edges inside neighborhoods are counted only when some pooled
@@ -299,9 +306,9 @@ def certify_sparse_pool(g: DynamicGraph, cfg: Config, sparse: set[int]) -> None:
     d = g.delta_cap
     floor_val = cfg.sparsity_floor() * d
     limit = math.floor(Fraction(d * (d - 1), 2) - d * floor_val)
-    deg = _degrees(g.n, *_edge_endpoints(g))
+    deg = raw.deg
     roomy = np.flatnonzero(deg * (deg - 1) // 2 > limit).tolist()
-    suspects = [v for v in roomy if v in sparse]
+    suspects = [v for v in roomy if v in raw.sparse]
     if not suspects:
         return
     m = all_neighborhood_edge_counts(g)
@@ -313,33 +320,48 @@ def certify_sparse_pool(g: DynamicGraph, cfg: Config, sparse: set[int]) -> None:
         )
 
 
-def _components(
-    k: int, fu: np.ndarray, fv: np.ndarray, min_size: int
+def _friend_components(
+    bits: np.ndarray,
+    fu: np.ndarray,
+    fv: np.ndarray,
+    sim_floor: int,
+    min_size: int,
+    nbrs: Callable[[int], np.ndarray],
 ) -> list[np.ndarray]:
-    """Components of >= min_size nodes of the graph on range(k) with edges
-    (fu, fv), ordered by smallest node.
+    """Friendship components of >= min_size nodes, ordered by smallest node.
+
+    Nodes are bit rows and (fu, fv) the edges between them; an edge is a
+    friendship when its rows overlap in >= sim_floor bits.  A spanning
+    forest decides the components in two rounds:
+
+    1. every node is tested against its smallest neighbor;
+    2. only the edges whose ends round 1 left in different components are
+       tested.
+
+    This is exact: an edge left untested joins two nodes of one component.
 
     Each component lists its nodes in the discovery order of a stack
-    search from its smallest node that visits neighbors in ascending
-    order and marks them when pushed.  Labels come from min-label
-    propagation with pointer jumping, so the search only runs on the
-    components that are kept, and stops once it has found all nodes.
+    search from its smallest node that visits friends in ascending order
+    and marks them when pushed; it tests a popped node's unmarked
+    neighbors, nbrs(x) in ascending order, and stops once it has found
+    the whole component.
     """
-    key = np.sort(np.concatenate((fu * k + fv, fv * k + fu)))
-    src, dst = np.divmod(key, k)
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    k = len(bits)
 
-    label = np.arange(k)
-    if len(src):
-        has = np.flatnonzero(indptr[:-1] < indptr[1:])
-        while True:
-            nxt = label.copy()
-            nxt[has] = np.minimum(label[has], np.minimum.reduceat(label[dst], indptr[has]))
-            nxt = nxt[nxt]
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
+    def friends(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return _row_overlaps(bits, i, j) >= sim_floor
+
+    first = np.full(k, k, dtype=np.int64)
+    np.minimum.at(first, fu, fv)
+    np.minimum.at(first, fv, fu)
+    x = np.flatnonzero(first < k)
+    y = first[x]
+    keep = friends(x, y)
+    label = _merge(np.arange(k), x[keep], y[keep])
+    apart = label[fu] != label[fv]
+    x, y = fu[apart], fv[apart]
+    keep = friends(x, y)
+    label = _merge(label, x[keep], y[keep])
 
     sizes = np.bincount(label, minlength=k)
     seen = np.zeros(k, dtype=bool)
@@ -349,13 +371,35 @@ def _components(
         found, stack = [root], [root]
         while len(found) < sizes[root]:
             x = stack.pop()
-            nbrs = dst[indptr[x] : indptr[x + 1]]
-            new = nbrs[~seen[nbrs]]
+            ys = nbrs(x)
+            ys = ys[~seen[ys]]
+            new = ys[friends(np.full(len(ys), x), ys)].tolist()
             seen[new] = True
-            found += new.tolist()
-            stack += new.tolist()
+            found += new
+            stack += new
         comps.append(np.array(found))
     return comps
+
+
+def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the components of label along the edges (a, b), in place.
+
+    label[x] is the smallest node of x's component.  Each round hooks the
+    larger of two adjacent roots onto the smaller, then jumps pointers
+    until every node points at a root again; the edges left between
+    components go into the next round.
+    """
+    while len(a):
+        la, lb = label[a], label[b]
+        cross = la != lb
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label[:] = up
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +412,7 @@ def refine_to_sparser_denser(
     """Drop loose cliques into S and materialize exact per-clique data."""
     d = Decomposition(g.n)
     threshold = cfg.dissolve_threshold()
-    eu, ev = _edge_endpoints(g)
-    deg = _degrees(g.n, eu, ev)
-    intra = _intra_degrees(g.n, raw.candidates, eu, ev)
+    deg, intra = raw.deg, raw.intra
     kept = []
     for cand in raw.candidates:
         size = len(cand)

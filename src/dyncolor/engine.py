@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import fresh as fresh_mod
-from .config import RETRY_SCALE, Config
+from .config import RETRY_SCALE, Config, ceil_log2
 from .decomposition import (
     DecompositionFailed,
     Decomposition,
@@ -117,11 +117,11 @@ class Engine:
         self.decomp = Decomposition(n)
         self.state = ColoringState(n, delta_cap + 1, self.decomp)
         t = cfg.phase_length
-        log_n = max(1, math.ceil(math.log2(max(2, n))))
+        self.log_n = ceil_log2(n)
         self.phase = PhaseController(
             t=t,
-            retry_cap_sparse=math.ceil(RETRY_SCALE * (delta_cap + 1) / t) * log_n,
-            retry_cap_matching=RETRY_SCALE * log_n,
+            retry_cap_sparse=math.ceil(RETRY_SCALE * (delta_cap + 1) / t) * self.log_n,
+            retry_cap_matching=RETRY_SCALE * self.log_n,
         )
         self._update_sparse_recolors = 0
         self._update_steals = 0
@@ -142,7 +142,7 @@ class Engine:
     def _start_phase(self) -> None:
         try:
             raw = compute_acd(self.g, self.cfg)
-            certify_sparse_pool(self.g, self.cfg, raw.sparse)
+            certify_sparse_pool(self.g, self.cfg, raw)
         except DecompositionFailed as exc:
             raise EngineFailure(str(exc)) from exc
         self.decomp = refine_to_sparser_denser(raw, self.g, self.cfg)

@@ -9,7 +9,6 @@ from the clique palette.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -116,9 +115,8 @@ def color_dense(eng: "Engine", v: int) -> None:
     st = eng.state
     ci = eng.decomp.part[v]
     palette = st.clique_palette[ci]
-    log_n = max(1, math.ceil(math.log2(max(2, eng.g.n))))
     adj_v = eng.g.adj[v]
-    cap = RETRY_SCALE * max(1, len(palette)) * log_n
+    cap = RETRY_SCALE * max(1, len(palette)) * eng.log_n
     for _ in range(cap):
         if not len(palette):
             raise FreshFailed(f"clique palette exhausted in clique {ci}")

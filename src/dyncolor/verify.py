@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import C_BAL, SLACK_COEFF, Config
+from .config import C_BAL, SLACK_COEFF, Config, ceil_log2
 from .decomposition import Decomposition, RawPartition
 from .graph import DynamicGraph
 from .report import Violation
@@ -32,9 +32,23 @@ def brute_force_sparsity(g: DynamicGraph, v: int) -> Fraction:
     return Fraction(d * (d - 1) // 2 - m, d)
 
 
+def brute_partition(
+    g: DynamicGraph, sparse: set[int], candidates: list[set[int]]
+) -> RawPartition:
+    """A RawPartition of the given parts, with its degree arrays counted
+    from the adjacency sets."""
+    deg = np.array([len(a) for a in g.adj], dtype=np.int64)
+    intra = np.zeros(g.n + 1, dtype=np.int64)
+    for cand in candidates:
+        for v in cand:
+            intra[v] = len(g.adj[v] & cand)
+    return RawPartition(sparse=sparse, candidates=candidates, deg=deg, intra=intra)
+
+
 def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     """Set-based twin of compute_acd: the same clustering rule, with
-    overlaps as set intersections and a plain DFS."""
+    overlaps as set intersections and a plain DFS that lists each
+    component's members in push order."""
     d = g.delta_cap
     eps = cfg.epsilon
     deg_floor = math.ceil((1 - eps) * d)
@@ -55,22 +69,23 @@ def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     for start in sorted(core):
         if start in seen:
             continue
-        comp = set()
+        order = [start]
         stack = [start]
         seen.add(start)
         while stack:
             x = stack.pop()
-            comp.add(x)
             for y in friends(x):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
+                    order.append(y)
+        comp = set(order)
         if deg_floor <= len(comp) <= size_cap and all(
             len(g.adj[v] & comp) >= deg_floor for v in comp
         ):
             accepted.append(comp)
             sparse -= comp
-    return RawPartition(sparse=sparse, candidates=accepted)
+    return brute_partition(g, sparse, accepted)
 
 
 def brute_palette(g: DynamicGraph, state: ColoringState, v: int) -> set[int]:
@@ -168,7 +183,7 @@ def check_balance(
     cap = C_BAL * (
         Fraction(n, cfg.zeta)
         + Fraction(phase_elapsed, cfg.zeta)
-        + Fraction(math.ceil(math.log2(max(2, n))))
+        + Fraction(ceil_log2(n))
     )
     for chi in range(1, state.num_colors + 1):
         sparse_size = sum(1 for v in state.classes[chi] if decomp.part[v] is None)

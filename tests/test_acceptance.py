@@ -22,7 +22,7 @@ import pytest
 from dyncolor import adversary as adv
 from dyncolor.cli import fit_slope, main as cli_main, resolve_epsilon, scaling_row
 from dyncolor.config import Config, auto_zeta
-from dyncolor.decomposition import RawPartition, compute_acd, refine_to_sparser_denser
+from dyncolor.decomposition import compute_acd, refine_to_sparser_denser
 from dyncolor.drive import drive
 from dyncolor.engine import Engine
 from dyncolor.graph import DynamicGraph
@@ -31,10 +31,13 @@ from dyncolor.state import ColoringState
 from dyncolor.verify import (
     brute_clique_palette,
     brute_force_sparsity,
+    brute_partition,
     verify_fresh_properties,
 )
 
 from conftest import kernel_sparsity
+
+pytestmark = pytest.mark.slow
 
 SEED = 1000
 ADVERSARY_STEPS = 50_000
@@ -202,10 +205,7 @@ def test_criterion_3_oracle_equivalence():
             g = DynamicGraph(n, delta)
             for u, v in edges:
                 g.insert_edge(u, v)
-            raw = RawPartition(
-                sparse=set(range(1, n + 1)) - planted[0],
-                candidates=[set(planted[0])],
-            )
+            raw = brute_partition(g, set(range(1, n + 1)) - planted[0], [set(planted[0])])
             d = refine_to_sparser_denser(raw, g, cfg)
         else:
             edges, delta = fuzz_graph(n, seed=i)

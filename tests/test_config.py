@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyncolor.config import Config, auto_zeta
+from dyncolor.config import Config, auto_zeta, ceil_log2
 
 
 def test_defaults_are_exact_fractions():
@@ -68,6 +68,12 @@ def test_auto_zeta():
     assert auto_zeta(1) == 1
     assert auto_zeta(1000) == 100
     assert auto_zeta(n := 512) == math.ceil(n ** (2 / 3))
+
+
+def test_ceil_log2():
+    # the log n of the retry caps and the balance bound; n = 1 counts as 2
+    assert [ceil_log2(n) for n in (1, 2, 3, 4, 5, 1024, 1025, 2048)] == [1, 1, 2, 2, 3, 10, 11, 11]
+    assert all(ceil_log2(n) == (n - 1).bit_length() for n in range(2, 5000))
 
 
 def test_to_dict_roundtrips_strings():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -20,7 +21,7 @@ from dyncolor.decomposition import (
 )
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import fuzz_graph, mixed_graph, planted_clique_graph, random_graph
-from dyncolor.verify import brute_acd, brute_force_sparsity
+from dyncolor.verify import brute_acd, brute_force_sparsity, brute_partition
 
 from conftest import build_graph, dense_cfg, kernel_sparsity
 
@@ -164,7 +165,7 @@ def test_acd_certify_failure():
     assert raw.candidates == []
     assert raw.sparse == set(range(1, n + 1))
     with pytest.raises(DecompositionFailed, match=r"^21 .* \(first: \[1, 2, 3, 4, 5\]\)$"):
-        certify_sparse_pool(g, cfg, raw.sparse)
+        certify_sparse_pool(g, cfg, raw)
 
 
 def test_certify_counts_only_vertices_the_degree_bound_admits(monkeypatch):
@@ -184,13 +185,15 @@ def test_certify_counts_only_vertices_the_degree_bound_admits(monkeypatch):
     g = build_graph(10, delta, [(1, leaf) for leaf in range(2, delta + 2)])
     cfg = dense_cfg()
     assert brute_force_sparsity(g, 1) == Fraction(delta - 1, 2) >= cfg.sparsity_floor() * delta
-    pool = compute_acd(g, cfg).sparse
-    assert pool == set(range(1, 11))
-    certify_sparse_pool(g, cfg, pool)
+    raw = compute_acd(g, cfg)
+    assert raw.sparse == set(range(1, 11))
+    certify_sparse_pool(g, cfg, raw)
     assert calls == [10]
-    certify_sparse_pool(g, cfg, pool - {1})
+    certify_sparse_pool(g, cfg, dataclasses.replace(raw, sparse=raw.sparse - {1}))
     g.delete_edge(1, delta + 1)
-    certify_sparse_pool(g, cfg, pool)
+    raw = compute_acd(g, cfg)
+    assert raw.sparse == set(range(1, 11))
+    certify_sparse_pool(g, cfg, raw)
     assert calls == [10]
 
 
@@ -230,7 +233,13 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
     g = build_graph(n, cap, edges)
     cfg = Config(epsilon=eps, zeta=1)
     raw = compute_acd(g, cfg)
-    assert raw == brute_acd(g, cfg)  # same sparse set, same candidates in order
+    brute = brute_acd(g, cfg)
+    assert raw == brute  # same sparse set, same candidates in order
+    # same member order, which the anti-edge sampling inherits
+    assert [list(c) for c in raw.candidates] == [list(c) for c in brute.candidates]
+    assert raw.deg.tolist() == brute.deg.tolist()
+    members = [v for c in raw.candidates for v in c]
+    assert raw.intra[members].tolist() == brute.intra[members].tolist()
     assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
     # certification fails exactly when some pooled vertex is below the floor
     floor_val = cfg.sparsity_floor() * cap
@@ -238,9 +247,9 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
     if below:
         message = f"{len(below)} unclustered vertices below the sparsity floor (first: {below[:5]})"
         with pytest.raises(DecompositionFailed, match=f"^{re.escape(message)}$"):
-            certify_sparse_pool(g, cfg, raw.sparse)
+            certify_sparse_pool(g, cfg, raw)
     else:
-        certify_sparse_pool(g, cfg, raw.sparse)
+        certify_sparse_pool(g, cfg, raw)
 
 
 def test_acd_peak_memory_stays_chunked():
@@ -259,14 +268,66 @@ def test_acd_peak_memory_stays_chunked():
     assert peak < 12 * 2**20
 
 
+def test_acd_second_round_joins_what_smallest_neighbors_miss():
+    # two K_8 blocks joined by the non-friend edges (1, 9), (2, 10) and
+    # (3, 11): the smallest core neighbor of 9, 10 and 11 lies in the
+    # other block and shares no neighbor with them, and only 12..16 test
+    # against a vertex of their own block (9).  The first round leaves
+    # {9, 12..16}, 6 < 7 vertices, plus two singletons; only the second
+    # round's tests of the edges between them recover the block
+    delta = 8
+    n, edges = _complete_blocks(2, delta)
+    g = build_graph(n, delta, edges + [(1, 9), (2, 10), (3, 11)])
+    cfg = dense_cfg()
+    raw = compute_acd(g, cfg)
+    assert raw.candidates == [set(range(1, 9)), set(range(9, 17))]
+    assert raw.sparse == set()
+    brute = brute_acd(g, cfg)
+    assert raw == brute
+    assert [list(c) for c in raw.candidates] == [list(c) for c in brute.candidates]
+
+
+def test_acd_member_order_matches_oracle_on_scattered_ids():
+    # a random relabelling scatters each near-clique over the id range, so
+    # members share slots of the set's hash table and its iteration order,
+    # which the anti-edge sampling inherits, depends on insertion order
+    n, cap = 600, 40
+    edges, _ = mixed_graph(n, cap, seed=3)
+    perm = list(range(1, n + 1))
+    random.Random(3).shuffle(perm)
+    g = build_graph(n, cap, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    cfg = dense_cfg()
+    raw = compute_acd(g, cfg)
+    brute = brute_acd(g, cfg)
+    assert raw == brute and raw.candidates
+    assert [list(c) for c in raw.candidates] == [list(c) for c in brute.candidates]
+    assert any(list(c) != sorted(c) for c in raw.candidates)
+
+
+def test_acd_popcounts_few_core_pairs(monkeypatch):
+    # the instance above holds 62,952 core edges; the spanning-forest
+    # search popcounts a small fraction of them
+    pairs = []
+    overlaps = decomposition_mod._row_overlaps
+
+    def counting(bits, i, j):
+        pairs.append(len(i))
+        return overlaps(bits, i, j)
+
+    monkeypatch.setattr(decomposition_mod, "_row_overlaps", counting)
+    edges, _ = mixed_graph(2048, 128, seed=1)
+    g = build_graph(2048, 128, edges)
+    raw = compute_acd(g, Config(epsilon=Fraction(1, 8), zeta=320))
+    assert len(raw.candidates) == 8
+    assert 0 < sum(pairs) < 5_000
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
 
 def _raw_single(members, sparse, g, cfg):
-    from dyncolor.decomposition import RawPartition
-
-    return RawPartition(sparse=set(sparse), candidates=[set(members)])
+    return brute_partition(g, set(sparse), [set(members)])
 
 
 def test_refine_keeps_tight_clique():

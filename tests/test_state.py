@@ -7,7 +7,7 @@ from dyncolor.decomposition import Decomposition, compute_acd, refine_to_sparser
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import planted_clique_graph
 from dyncolor.state import ColorOutOfRange, ColoringState
-from dyncolor.verify import brute_clique_palette, brute_palette
+from dyncolor.verify import brute_clique_palette, brute_palette, brute_partition
 
 from conftest import build_graph, dense_cfg
 
@@ -122,12 +122,10 @@ def _k5_state(missing_edge=None):
             if missing_edge and {u, v} == set(missing_edge):
                 continue
             g.insert_edge(u, v)
-    from dyncolor.decomposition import RawPartition
-
     cfg = dense_cfg()
     # hand-built partition: the degree floor of the clustering heuristic
     # cannot recover near-cliques this small
-    raw = RawPartition(sparse=set(), candidates=[set(range(1, 6))])
+    raw = brute_partition(g, set(), [set(range(1, 6))])
     d = refine_to_sparser_denser(raw, g, cfg)
     assert len(d.cliques) == 1
     return g, d, ColoringState(5, delta + 1, d)
