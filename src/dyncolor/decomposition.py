@@ -13,7 +13,7 @@ popcounts.  The friendship components of the core come from a spanning
 forest: each core vertex is tested against its smallest core neighbor,
 then only the core edges between the components found so far are
 tested, so most edges inside a component are never popcounted.
-Intra-candidate degrees are one bincount over same-label core edges;
+Intra-component degrees are one bincount over same-label core edges;
 RawPartition carries both degree arrays on to certification and
 refinement.
 """
@@ -21,7 +21,6 @@ refinement.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -130,7 +129,6 @@ class Clique:
     members: set[int]
     anti_edges: SampleSet  # (u, v) pairs with u < v
     sum_ext: int = 0
-    inliers: set[int] = field(default_factory=set)
 
     @property
     def size(self) -> int:
@@ -162,7 +160,10 @@ class Clique:
 @dataclass
 class RawPartition:
     sparse: set[int]
-    candidates: list[set[int]]  # pairwise disjoint
+    # pairwise disjoint; each set is built by inserting its members in
+    # ascending id, so its iteration order, and the anti-edge order refine
+    # derives from it, depends on the member set alone
+    candidates: list[set[int]]
     # per vertex id: its degree, and (on candidate members) its neighbors
     # inside its own candidate; certification and refinement read them
     deg: np.ndarray = field(compare=False, repr=False)
@@ -244,7 +245,7 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     core.  Two adjacent core vertices are friends when they share at
     least (1-2*eps)*cap neighbors; the friendship components of size
     >= (1-eps)*cap are the candidates, in order of their smallest vertex,
-    found by _friend_components without popcounting every core edge.
+    labelled by _friend_components without popcounting every core edge.
     Candidates are verified against the almost-clique definition;
     vertices of failed candidates fall back to the sparse pool, which
     certify_sparse_pool checks.
@@ -269,25 +270,14 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
         ru, rv = rows[eu], rows[ev]
         inside = (ru >= 0) & (rv >= 0)
         ru, rv = ru[inside], rv[inside]
-
-        def core_nbrs(x: int) -> np.ndarray:
-            adj = g.adj[int(core[x])]
-            r = rows[np.fromiter(adj, dtype=np.int64, count=len(adj))]
-            return np.sort(r[r >= 0])
-
-        comps = _friend_components(bits, ru, rv, sim_floor, deg_floor, core_nbrs)
-        # intra-candidate degrees: one bincount over same-label core edges
-        label = np.full(k, -1, dtype=np.int64)
-        for i, comp in enumerate(comps):
-            label[comp] = i
-        lu = label[ru]
-        same = (lu >= 0) & (lu == label[rv])
+        label = _friend_components(bits, ru, rv, sim_floor)
+        # intra-component degrees: one bincount over same-label core edges
+        same = label[ru] == label[rv]
         intra[core] = np.bincount(ru[same], minlength=k) + np.bincount(rv[same], minlength=k)
-        for comp in comps:
-            members = core[comp]
-            if len(comp) <= size_cap and intra[members].min() >= deg_floor:
-                # insertion order fixes the set's iteration order, which the
-                # anti-neighbor sets and so the anti-edge sampling inherit
+        sizes = np.bincount(label, minlength=k)
+        for root in np.flatnonzero((sizes >= deg_floor) & (sizes <= size_cap)).tolist():
+            members = core[label == root]
+            if intra[members].min() >= deg_floor:
                 cand = set(members.tolist())
                 accepted.append(cand)
                 sparse -= cand
@@ -321,14 +311,9 @@ def certify_sparse_pool(g: DynamicGraph, cfg: Config, raw: RawPartition) -> None
 
 
 def _friend_components(
-    bits: np.ndarray,
-    fu: np.ndarray,
-    fv: np.ndarray,
-    sim_floor: int,
-    min_size: int,
-    nbrs: Callable[[int], np.ndarray],
-) -> list[np.ndarray]:
-    """Friendship components of >= min_size nodes, ordered by smallest node.
+    bits: np.ndarray, fu: np.ndarray, fv: np.ndarray, sim_floor: int
+) -> np.ndarray:
+    """Label each node with the smallest node of its friendship component.
 
     Nodes are bit rows and (fu, fv) the edges between them; an edge is a
     friendship when its rows overlap in >= sim_floor bits.  A spanning
@@ -339,12 +324,6 @@ def _friend_components(
        tested.
 
     This is exact: an edge left untested joins two nodes of one component.
-
-    Each component lists its nodes in the discovery order of a stack
-    search from its smallest node that visits friends in ascending order
-    and marks them when pushed; it tests a popped node's unmarked
-    neighbors, nbrs(x) in ascending order, and stops once it has found
-    the whole component.
     """
     k = len(bits)
 
@@ -361,24 +340,7 @@ def _friend_components(
     apart = label[fu] != label[fv]
     x, y = fu[apart], fv[apart]
     keep = friends(x, y)
-    label = _merge(label, x[keep], y[keep])
-
-    sizes = np.bincount(label, minlength=k)
-    seen = np.zeros(k, dtype=bool)
-    comps = []
-    for root in np.flatnonzero(sizes >= min_size).tolist():
-        seen[root] = True
-        found, stack = [root], [root]
-        while len(found) < sizes[root]:
-            x = stack.pop()
-            ys = nbrs(x)
-            ys = ys[~seen[ys]]
-            new = ys[friends(np.full(len(ys), x), ys)].tolist()
-            seen[new] = True
-            found += new
-            stack += new
-        comps.append(np.array(found))
-    return comps
+    return _merge(label, x[keep], y[keep])
 
 
 def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,14 +397,8 @@ def refine_to_sparser_denser(
             for u in av:
                 if v < u:
                     clique.anti_edges.add((v, u))
-        clique.inliers = classify_inliers(clique, dict(zip(members, e)), dict(zip(members, a)))
         d.cliques.append(clique)
     return d
-
-
-def classify_inliers(c: Clique, ev: dict[int, int], av: dict[int, int]) -> set[int]:
-    """Members within 8x of both clique averages (complement: outliers)."""
-    return {v for v in c.members if c.admits_inlier(ev[v], av[v])}
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
 
     colored = one_shot_coloring(eng)
 
-    sparse = [v for v in range(1, eng.g.n + 1) if eng.decomp.part[v] is None]
+    sparse = eng.decomp.sparse_vertices
     uncolored = [v for v in sparse if st.phi[v] is None]
     eng.rng.shuffle(uncolored)
     sparse_before = eng.meter.color_trials
@@ -56,11 +56,9 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
 
     for c in eng.decomp.cliques:
         eng.restore_matching(c.index)
-        outliers = sorted(c.members - c.inliers)
-        for v in outliers:
-            if st.phi[v] is None:
-                color_dense(eng, v)
-        for v in sorted(c.inliers):
+        # outliers first, then inliers, each in id order; the graph holds
+        # still here, so no member's status changes while the loop runs
+        for v in sorted(c.members, key=lambda v: (eng.decomp.is_inlier(v), v)):
             if st.phi[v] is None:
                 color_dense(eng, v)
 

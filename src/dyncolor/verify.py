@@ -47,8 +47,7 @@ def brute_partition(
 
 def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     """Set-based twin of compute_acd: the same clustering rule, with
-    overlaps as set intersections and a plain DFS that lists each
-    component's members in push order."""
+    overlaps as set intersections and components found by a plain DFS."""
     d = g.delta_cap
     eps = cfg.epsilon
     deg_floor = math.ceil((1 - eps) * d)
@@ -69,17 +68,12 @@ def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     for start in sorted(core):
         if start in seen:
             continue
-        order = [start]
-        stack = [start]
-        seen.add(start)
+        comp, stack = {start}, [start]
         while stack:
-            x = stack.pop()
-            for y in friends(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                    order.append(y)
-        comp = set(order)
+            new = [y for y in friends(stack.pop()) if y not in comp]
+            comp.update(new)
+            stack += new
+        seen |= comp
         if deg_floor <= len(comp) <= size_cap and all(
             len(g.adj[v] & comp) >= deg_floor for v in comp
         ):

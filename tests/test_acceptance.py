@@ -366,7 +366,7 @@ def test_criterion_8_per_trial_success_probabilities():
     eng = Engine(n, delta, Config(epsilon=Fraction(1, 8), zeta=320),
                  seed=SEED, mode="phased", initial_edges=edges)
     c = eng.decomp.cliques[0]
-    outliers = sorted(c.members - c.inliers)
+    outliers = [v for v in sorted(c.members) if not eng.decomp.is_inlier(v)]
     v = outliers[0] if outliers else next(
         u for u in sorted(c.members) if eng.state.matched[u] is None
     )

@@ -14,7 +14,6 @@ from dyncolor.decomposition import (
     DecompositionFailed,
     all_neighborhood_edge_counts,
     certify_sparse_pool,
-    classify_inliers,
     compute_acd,
     refine_to_sparser_denser,
     validate_decomposition,
@@ -235,8 +234,9 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
     raw = compute_acd(g, cfg)
     brute = brute_acd(g, cfg)
     assert raw == brute  # same sparse set, same candidates in order
-    # same member order, which the anti-edge sampling inherits
-    assert [list(c) for c in raw.candidates] == [list(c) for c in brute.candidates]
+    # members are inserted in ascending id, which fixes the iteration
+    # order the anti-edge sampling inherits
+    assert all(list(c) == list(set(sorted(c))) for c in raw.candidates)
     assert raw.deg.tolist() == brute.deg.tolist()
     members = [v for c in raw.candidates for v in c]
     assert raw.intra[members].tolist() == brute.intra[members].tolist()
@@ -282,15 +282,14 @@ def test_acd_second_round_joins_what_smallest_neighbors_miss():
     raw = compute_acd(g, cfg)
     assert raw.candidates == [set(range(1, 9)), set(range(9, 17))]
     assert raw.sparse == set()
-    brute = brute_acd(g, cfg)
-    assert raw == brute
-    assert [list(c) for c in raw.candidates] == [list(c) for c in brute.candidates]
+    assert raw == brute_acd(g, cfg)
 
 
 def test_acd_member_order_matches_oracle_on_scattered_ids():
     # a random relabelling scatters each near-clique over the id range, so
     # members share slots of the set's hash table and its iteration order,
-    # which the anti-edge sampling inherits, depends on insertion order
+    # which the anti-edge sampling inherits, depends on insertion order;
+    # members are inserted in ascending id, as the oracle inserts them
     n, cap = 600, 40
     edges, _ = mixed_graph(n, cap, seed=3)
     perm = list(range(1, n + 1))
@@ -300,13 +299,13 @@ def test_acd_member_order_matches_oracle_on_scattered_ids():
     raw = compute_acd(g, cfg)
     brute = brute_acd(g, cfg)
     assert raw == brute and raw.candidates
-    assert [list(c) for c in raw.candidates] == [list(c) for c in brute.candidates]
+    assert [list(c) for c in raw.candidates] == [list(set(sorted(c))) for c in brute.candidates]
     assert any(list(c) != sorted(c) for c in raw.candidates)
 
 
 def test_acd_popcounts_few_core_pairs(monkeypatch):
-    # the instance above holds 62,952 core edges; the spanning-forest
-    # search popcounts a small fraction of them
+    # the instance below holds 62,952 core edges; the spanning forest
+    # popcounts a small fraction of them, in one call per round
     pairs = []
     overlaps = decomposition_mod._row_overlaps
 
@@ -319,7 +318,8 @@ def test_acd_popcounts_few_core_pairs(monkeypatch):
     g = build_graph(2048, 128, edges)
     raw = compute_acd(g, Config(epsilon=Fraction(1, 8), zeta=320))
     assert len(raw.candidates) == 8
-    assert 0 < sum(pairs) < 5_000
+    assert len(pairs) == 2
+    assert 0 < sum(pairs) < 1_500
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def test_inliers_all_when_no_deviation():
     cfg = dense_cfg()
     d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
     c = d.cliques[0]
-    assert c.inliers == c.members
+    assert all(d.is_inlier(v) for v in c.members)
 
 
 def test_inlier_boundary_is_inclusive():
@@ -429,12 +429,8 @@ def test_inlier_boundary_is_inclusive():
     anti_edges = SampleSet([(1, 2), (3, 4), (5, 6), (7, 8)])
     c = Clique(index=0, members=members, anti_edges=anti_edges)
     assert c.sum_anti == 8
-    av = {v: 0 for v in members}
-    av[1] = 8
-    ev = {v: 0 for v in members}
-    inl = classify_inliers(c, ev, av)
-    assert 1 in inl
-    assert inl == members
+    assert c.admits_inlier(0, 8)
+    assert not c.admits_inlier(0, 9)
 
 
 def test_inliers_match_direct_comparison_and_markov():
@@ -451,8 +447,9 @@ def test_inliers_match_direct_comparison_and_markov():
             for v in c.members
             if d.e_v(v) <= 8 * c.avg_ext and d.a_v(v) <= 8 * c.avg_anti
         }
-        assert c.inliers == expect
-        assert len(c.inliers) * 4 >= 3 * c.size
+        inliers = {v for v in c.members if d.is_inlier(v)}
+        assert inliers == expect
+        assert len(inliers) * 4 >= 3 * c.size
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,11 @@ def test_clique_instance_matches_recorded_digest(monkeypatch):
         phases.append({
             "part": [-1 if p is None else p for p in d.part[1:]],
             "cliques": [
-                [sorted(c.members), sorted(c.inliers), list(c.anti_edges)]
+                [
+                    sorted(c.members),
+                    [v for v in sorted(c.members) if d.is_inlier(v)],
+                    list(c.anti_edges),
+                ]
                 for c in d.cliques
             ],
         })
