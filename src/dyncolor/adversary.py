@@ -9,7 +9,10 @@ so they diff cleanly and replay with O(1) memory.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .engine import Engine, Update
@@ -56,10 +59,20 @@ class AdversaryView:
     def has_edge(self, u: int, v: int) -> bool:
         return self._engine.g.has_edge(u, v)
 
-    def color_classes(self) -> list[tuple[int, ...]]:
-        return [
-            tuple(sorted(s)) for s in self._engine.state.classes[1:] if s
-        ]
+    def spare_class_sizes(self) -> list[int]:
+        """Per color 1..Δ+1 (index 0 unused), how many of its holders are
+        below the degree cap."""
+        st = self._engine.state
+        sizes = list(map(len, st.classes))
+        for v in self._engine.g.full:
+            chi = st.phi[v]
+            if chi is not None:
+                sizes[chi] -= 1
+        return sizes
+
+    def spare_members(self, chi: int) -> list[int]:
+        """Holders of color chi below the degree cap, in ascending id."""
+        return sorted(self._engine.state.classes[chi] - self._engine.g.full)
 
     def matched_pairs(self) -> list[tuple[int, int]]:
         matched = self._engine.state.matched
@@ -148,26 +161,15 @@ def oblivious_adversary(
 def conflict_adversary(view: AdversaryView, rng: random.Random) -> Update:
     """Insert between a uniform same-colored non-adjacent pair with spare
     degree; fall back to a random deletion, then to a random insertion."""
-    cap = view.delta_cap
     # colors are proper between updates, so same-colored vertices are
     # never adjacent: class-weighted sampling over spare-degree members
     # is uniform over the eligible pairs without enumerating them
-    pools = []
-    weights = []
-    for cls in view.color_classes():
-        es = [u for u in cls if view.degree(u) < cap]
-        if len(es) >= 2:
-            pools.append(es)
-            weights.append(len(es) * (len(es) - 1) // 2)
-    total = sum(weights)
+    cum = list(accumulate(map(math.comb, view.spare_class_sizes(), repeat(2))))
+    total = cum[-1]
     if total:
         for _ in range(20):
-            idx = rng.randrange(total)
-            for es, w in zip(pools, weights):
-                if idx < w:
-                    u, v = rng.sample(es, 2)
-                    break
-                idx -= w
+            chi = bisect_right(cum, rng.randrange(total))
+            u, v = rng.sample(view.spare_members(chi), 2)
             if not view.has_edge(u, v):
                 return Update("+", min(u, v), max(u, v))
     e = view.random_edge(rng)

@@ -1,11 +1,12 @@
 """Update handlers and recoloring procedures.
 
-Two regimes: below the dispatch threshold the naive recolorer scans the
-neighborhood of the conflicting endpoint; above it, updates run in
-phases over a frozen sparser-denser partition, recoloring through
-random color trials with color stealing.  All availability checks walk
-color classes (never adjacency lists) on the phased path, and every
-probe is counted by the cost meter.
+Two regimes: below the dispatch threshold the naive recolorer gives the
+conflicting endpoint the smallest color that no neighbor holds; above
+it, updates run in phases over a frozen sparser-denser partition,
+recoloring through random color trials with color stealing.  All
+availability checks walk color classes (never adjacency lists), and
+every probe is counted by the cost meter; the naive path is metered as
+the one neighborhood scan it models.
 """
 
 from __future__ import annotations
@@ -274,16 +275,17 @@ class Engine:
     # naive regime
 
     def naive_recolor(self, v: int) -> None:
-        """Smallest free color after one adjacency scan."""
-        st = self.state
-        used = set()
-        for u in self.g.adj[v]:
-            self.meter.class_scans += 1
-            if st.phi[u] is not None:
-                used.add(st.phi[u])
+        """Smallest free color: the first class disjoint from N(v).
+
+        Metered as one adjacency scan (deg(v) class scans) followed by
+        one palette probe per color tried.
+        """
+        adj_v = self.g.adj[v]
+        classes = self.state.classes
+        self.meter.class_scans += len(adj_v)
         for chi in range(1, self.g.delta_cap + 2):
-            self.meter.palette_probes += 1
-            if chi not in used:
+            if classes[chi].isdisjoint(adj_v):
+                self.meter.palette_probes += chi
                 self._color(v, chi)
                 return
         raise AssertionError("degree cap guarantees a free color")

@@ -87,9 +87,7 @@ def one_shot_coloring(eng: "Engine") -> int:
     adjacent same-colored pairs are then both uncolored."""
     st = eng.state
     g = eng.g
-    for v in range(1, g.n + 1):
-        if eng.decomp.part[v] is not None:
-            continue
+    for v in eng.decomp.sparse_vertices:
         if eng.rng.random() < 0.125:
             eng.meter.color_trials += 1
             st.set_color(v, eng.rng.randint(1, st.num_colors))

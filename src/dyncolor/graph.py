@@ -48,6 +48,7 @@ class DynamicGraph:
         self._eu = array("i")
         self._ev = array("i")
         self._pos: dict[int, int] = {}
+        self.full: set[int] = set()
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -84,6 +85,10 @@ class DynamicGraph:
             )
         self.adj[u].add(v)
         self.adj[v].add(u)
+        if len(self.adj[u]) == self.delta_cap:
+            self.full.add(u)
+        if len(self.adj[v]) == self.delta_cap:
+            self.full.add(v)
         if u > v:
             u, v = v, u
         self._pos[u * (self.n + 1) + v] = len(self._eu)
@@ -97,6 +102,8 @@ class DynamicGraph:
             raise MissingEdge(f"edge {{{u},{v}}} not present")
         self.adj[u].discard(v)
         self.adj[v].discard(u)
+        self.full.discard(u)
+        self.full.discard(v)
         if u > v:
             u, v = v, u
         n1 = self.n + 1
@@ -109,7 +116,8 @@ class DynamicGraph:
             self._pos[lu * n1 + lv] = i
 
     def assert_consistent(self) -> None:
-        """Debug check: symmetry, no self-loops, cap, slot/adjacency agreement."""
+        """Debug check: symmetry, no self-loops, cap, slot/adjacency agreement,
+        and the set of vertices at the cap."""
         seen = set()
         for v in range(1, self.n + 1):
             assert len(self.adj[v]) <= self.delta_cap, f"degree cap broken at {v}"
@@ -123,3 +131,6 @@ class DynamicGraph:
         assert self._pos == {
             u * (self.n + 1) + v: i for i, (u, v) in enumerate(edges)
         }, "position map out of sync"
+        assert self.full == {
+            v for v in range(1, self.n + 1) if len(self.adj[v]) == self.delta_cap
+        }, "capped-vertex set out of sync"

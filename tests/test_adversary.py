@@ -13,8 +13,10 @@ from dyncolor.adversary import (
     TraceReader,
     record_trace,
 )
-from dyncolor.engine import Engine
+from dyncolor.config import Config
+from dyncolor.engine import Engine, Update
 from dyncolor.graph import DynamicGraph
+from dyncolor.instances import random_graph
 
 from conftest import planted_engine
 
@@ -97,6 +99,82 @@ def test_conflict_adversary_falls_back_to_deletion():
     assert eng.g.has_edge(upd.u, upd.v)
 
 
+def _pool_conflict_adversary(eng: Engine, rng: random.Random) -> Update:
+    """Reference: the pool-building conflict adversary, which reads every
+    color class and every member's degree on each step."""
+    view = AdversaryView(eng)
+    cap = view.delta_cap
+    pools = []
+    weights = []
+    for cls in (tuple(sorted(s)) for s in eng.state.classes[1:] if s):
+        es = [u for u in cls if view.degree(u) < cap]
+        if len(es) >= 2:
+            pools.append(es)
+            weights.append(len(es) * (len(es) - 1) // 2)
+    total = sum(weights)
+    if total:
+        for _ in range(20):
+            idx = rng.randrange(total)
+            for es, w in zip(pools, weights):
+                if idx < w:
+                    u, v = rng.sample(es, 2)
+                    break
+                idx -= w
+            if not view.has_edge(u, v):
+                return Update("+", min(u, v), max(u, v))
+    e = view.random_edge(rng)
+    if e is not None:
+        return Update("-", *e)
+    for _ in range(10000):
+        u, v = rng.sample(range(1, view.n + 1), 2)
+        if not view.has_edge(u, v) and view.degree(u) < cap and view.degree(v) < cap:
+            return Update("+", min(u, v), max(u, v))
+    raise RuntimeError("no valid update exists")
+
+
+def _capped_naive_engine() -> Engine:
+    """Naive engine on a graph filled to its cap: most vertices are capped."""
+    return Engine(60, 6, Config(zeta=3), seed=1, initial_edges=random_graph(60, 6, 1.0, 1))
+
+
+def _complete_engine() -> Engine:
+    """K_26 at cap 25: every color is distinct, so every step deletes."""
+    n = 26
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return Engine(n, n - 1, Config(zeta=3), seed=2, mode="naive", initial_edges=edges)
+
+
+@pytest.mark.parametrize(
+    "build, seed, shares_capped",
+    [
+        (_capped_naive_engine, 11, True),
+        (lambda: planted_engine(seed=3, zeta=320)[0], 12, True),
+        (_complete_engine, 13, False),
+    ],
+    ids=["naive-capped", "phased-planted", "complete"],
+)
+def test_conflict_adversary_matches_pool_reference(build, seed, shares_capped):
+    eng = build()
+    view = AdversaryView(eng)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    # steps at which a capped vertex shares its color class, so the
+    # capped-vertex set decides which class members are eligible
+    capped_in_shared_class = 0
+    for _ in range(300):
+        st = eng.state
+        capped_in_shared_class += any(
+            len(st.classes[st.phi[v]]) >= 2 for v in eng.g.full
+        )
+        expected = _pool_conflict_adversary(eng, ref_rng)
+        assert conflict_adversary(view, rng) == expected
+        assert rng.getstate() == ref_rng.getstate()
+        if not shares_capped:
+            assert expected.op == "-"
+        eng.apply(expected)
+    assert (capped_in_shared_class > 0) == shares_capped
+    eng.g.assert_consistent()
+
+
 def test_matching_attacker_joins_matched_pair():
     eng, _ = planted_engine(seed=5)
     view = AdversaryView(eng)
@@ -159,15 +237,23 @@ def test_views_are_sealed():
 
 
 def test_view_accessors_match_engine():
-    eng, _ = planted_engine(seed=5)
+    eng = _capped_naive_engine()
+    g, phi = eng.g, eng.state.phi
+    assert any(g.degree(v) == g.delta_cap for v in range(1, g.n + 1))
     view = AdversaryView(eng)
-    assert view.n == eng.g.n
-    assert view.delta_cap == eng.g.delta_cap
-    assert view.edge_count == eng.g.edge_count
+    assert view.n == g.n
+    assert view.delta_cap == g.delta_cap
+    assert view.edge_count == g.edge_count
     v = 5
-    assert view.degree(v) == eng.g.degree(v)
-    classes = view.color_classes()
-    assert sum(len(c) for c in classes) == eng.g.n  # everyone colored
+    assert view.degree(v) == g.degree(v)
+    sizes = view.spare_class_sizes()
+    assert len(sizes) == g.delta_cap + 2 and sizes[0] == 0
+    for chi in range(1, g.delta_cap + 2):
+        spare = [
+            u for u in range(1, g.n + 1) if phi[u] == chi and g.degree(u) < g.delta_cap
+        ]
+        assert view.spare_members(chi) == spare
+        assert sizes[chi] == len(spare)
 
 
 # ---------------------------------------------------------------------------

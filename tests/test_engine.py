@@ -58,15 +58,32 @@ def test_naive_saturated_neighborhood_gets_last_color():
 
 
 def test_naive_matches_min_free_color_oracle():
-    rng = random.Random(3)
     eng = Engine(30, 8, Config(zeta=3), seed=1)
     random_updates(eng, 200, seed=4)
     for v in range(1, 31):
         used = {eng.state.phi[u] for u in eng.g.adj[v]} - {None}
         free = min(set(range(1, 10)) - used)
         eng.state.set_color(v, None)
+        scans, probes = eng.meter.class_scans, eng.meter.palette_probes
         eng.naive_recolor(v)
         assert eng.state.phi[v] == free
+        # metered as one adjacency scan, then one probe per color tried
+        assert eng.meter.class_scans - scans == eng.g.degree(v)
+        assert eng.meter.palette_probes - probes == free
+
+
+def test_naive_without_free_color_raises():
+    # the cap leaves a free color among delta+1; forcing delta+1 neighbors
+    # past it (bypassing insert_edge) must stop the class walk at delta+1
+    delta = 3
+    eng = Engine(delta + 2, delta, Config(zeta=3), seed=0)
+    for v in range(1, delta + 3):
+        eng.state.set_color(v, None)
+    for chi, v in enumerate(range(2, delta + 3), start=1):
+        eng.g.adj[1].add(v)
+        eng.state.set_color(v, chi)
+    with pytest.raises(AssertionError, match="free color"):
+        eng.naive_recolor(1)
 
 
 def test_naive_runs_stay_proper():

@@ -64,6 +64,20 @@ def test_rejects_cap_violation():
     g.assert_consistent()
 
 
+def test_full_tracks_vertices_at_the_cap():
+    g = DynamicGraph(5, 2)
+    g.insert_edge(1, 2)
+    assert g.full == set()
+    g.insert_edge(1, 3)
+    assert g.full == {1}
+    with pytest.raises(DegreeCapExceeded):
+        g.insert_edge(1, 4)
+    assert g.full == {1}
+    g.delete_edge(1, 3)
+    assert g.full == set()
+    g.assert_consistent()
+
+
 def test_rejects_bad_vertex():
     g = DynamicGraph(4, 2)
     with pytest.raises(ValueError):
