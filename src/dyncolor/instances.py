@@ -7,33 +7,89 @@ respecting the cap, so the edges can be fed straight into the engine.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
+from itertools import chain
+
+import numpy as np
+
+# words per Mersenne Twister batch, and keys per decoding slice
+_CHUNK = 1 << 14
+
+
+def _randint_stream(rng: random.Random, n: int) -> Iterator[list[int]]:
+    """Lists of successive rng.randint(1, n) values, for 2 <= n < 2**31.
+
+    randint(1, n) is 1 + getrandbits(k), redrawn while the draw is >= n,
+    with k = n.bit_length() <= 32: the top k bits of one 32-bit Mersenne
+    Twister output.  getrandbits(32 * w) returns w successive outputs,
+    the first in the least significant word, so one call yields w draws
+    at once.  Batches double up to _CHUNK words; each batch leaves rng
+    where the last of its words left it, not where its last value did.
+    """
+    shift = 32 - n.bit_length()
+    words = 64
+    while True:
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        r = np.frombuffer(raw, dtype="<u4") >> shift
+        yield (r[r < n] + 1).tolist()
+        words = min(2 * words, _CHUNK)
 
 
 def random_graph(
     n: int, delta_cap: int, density: float, seed: int
 ) -> list[tuple[int, int]]:
-    """~density * n * delta_cap / 2 random edges under the degree cap."""
+    """~density * n * delta_cap / 2 random edges under the degree cap.
+
+    Draws (u, v) pairs from random.Random(seed) as successive
+    rng.randint(1, n) values, taken in batches of Mersenne Twister words
+    (see _randint_stream).  The rng is local, so the words drawn past the
+    last pair used change nothing.  A self-loop is skipped and not
+    counted; a repeated edge or one with a capped end counts as a miss.
+    Drawing stops at the target edge count or after 50 * target + 1000
+    misses.  Edges come back as sorted (min, max) pairs.
+    """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+    if not 2 <= n < 2**31:
+        raise ValueError("n must be in [2, 2**31)")
+    if not 1 <= delta_cap <= n - 1:
+        raise ValueError("delta_cap must be in [1, n-1]")
     rng = random.Random(seed)
     target = int(density * n * delta_cap / 2)
-    edges: set[tuple[int, int]] = set()
-    deg = [0] * (n + 1)
+    max_misses = 50 * target + 1000
+    n1 = n + 1
+    # edge (u, v), u < v, is the key u*(n+1)+v, as in DynamicGraph
+    keys: set[int] = set()
+    deg = [0] * n1
     misses = 0
-    while len(edges) < target and misses < 50 * target + 1000:
-        u = rng.randint(1, n)
-        v = rng.randint(1, n)
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        if (u, v) in edges or deg[u] >= delta_cap or deg[v] >= delta_cap:
-            misses += 1
-            continue
-        edges.add((u, v))
-        deg[u] += 1
-        deg[v] += 1
-    return sorted(edges)
+    if target > 0:
+        draws = chain.from_iterable(_randint_stream(rng, n))
+        for u, v in zip(draws, draws):
+            if u == v:
+                continue
+            if u > v:
+                u, v = v, u
+            key = u * n1 + v
+            if key in keys or deg[u] >= delta_cap or deg[v] >= delta_cap:
+                misses += 1
+                if misses >= max_misses:
+                    break
+                continue
+            keys.add(key)
+            deg[u] += 1
+            deg[v] += 1
+            if len(keys) >= target:
+                break
+    # free the key ints before decoding, and decode a slice at a time, so
+    # the peak stays below that of the set of tuples this replaced
+    ordered = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    del keys
+    ordered.sort()
+    edges: list[tuple[int, int]] = []
+    for lo in range(0, len(ordered), _CHUNK):
+        u, v = np.divmod(ordered[lo : lo + _CHUNK], n1)
+        edges += zip(u.tolist(), v.tolist())
+    return edges
 
 
 def random_sparse_graph(
