@@ -238,44 +238,44 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if doc["violations"]["count"] else EXIT_OK
 
 
-def scaling_row(
-    n: int, steps: int, rep_seed: int, engine_kind: str
-) -> dict:
-    """One scaling measurement: conflict adversary on a dense instance."""
+def scaling_pair(n: int, steps: int, rep_seed: int) -> dict[str, dict]:
+    """One scaling measurement per engine kind, phased then naive: the
+    conflict adversary on one dense instance, generated once for both."""
     from .instances import random_graph
 
     delta = n // 4
     edges = random_graph(n, delta, 0.8, seed=rep_seed * 7919 + n)
-    if engine_kind == "phased":
-        cfg = Config(
+    configs = {
+        "phased": Config(
             epsilon=EPS_SMALL,
             zeta=max(1, math.ceil(n ** (1.0 / 3.0))),
             gamma=Fraction(1),
-        )
-        mode = "phased"
-    else:
-        cfg = Config(epsilon=EPS_SMALL, zeta=1)
-        mode = "naive"
-    doc = run_engine(
-        n=n,
-        delta=delta,
-        cfg=cfg,
-        seed=rep_seed,
-        mode=mode,
-        verify="off",
-        adversary="conflict",
-        steps=steps,
-        initial_edges=edges,
-        reset_meter=True,
-    )
-    return {
-        "n": n,
-        "delta": delta,
-        "adversary": "conflict",
-        "engine": engine_kind,
-        "amortized_ops": doc["amortized_ops"],
-        "amortized_trials": doc["amortized_trials"],
+        ),
+        "naive": Config(epsilon=EPS_SMALL, zeta=1),
     }
+    rows = {}
+    for kind, cfg in configs.items():
+        doc = run_engine(
+            n=n,
+            delta=delta,
+            cfg=cfg,
+            seed=rep_seed,
+            mode=kind,
+            verify="off",
+            adversary="conflict",
+            steps=steps,
+            initial_edges=edges,
+            reset_meter=True,
+        )
+        rows[kind] = {
+            "n": n,
+            "delta": delta,
+            "adversary": "conflict",
+            "engine": kind,
+            "amortized_ops": doc["amortized_ops"],
+            "amortized_trials": doc["amortized_trials"],
+        }
+    return rows
 
 
 def fit_slope(rows: list[dict]) -> float:
@@ -294,12 +294,11 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     if args.reps < 1 or args.steps < 1:
         raise UsageError("need --reps >= 1 and --steps >= 1")
     seed = resolve_seed(args.seed)
-    rows: list[dict] = []
-    for kind in ("phased", "naive"):
-        for n in grid:
-            per_rep = [
-                scaling_row(n, args.steps, seed + r, kind) for r in range(args.reps)
-            ]
+    by_kind: dict[str, list[dict]] = {"phased": [], "naive": []}
+    for n in grid:
+        pairs = [scaling_pair(n, args.steps, seed + r) for r in range(args.reps)]
+        for kind, kind_rows in by_kind.items():
+            per_rep = [pair[kind] for pair in pairs]
             row = dict(per_rep[0])
             row["amortized_ops"] = statistics.fmean(
                 r["amortized_ops"] for r in per_rep
@@ -307,15 +306,13 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             row["amortized_trials"] = statistics.fmean(
                 r["amortized_trials"] for r in per_rep
             )
-            rows.append(row)
+            kind_rows.append(row)
             print(
                 f"{kind:>6} n={n:>6} amortized_ops={row['amortized_ops']:.1f}",
                 file=sys.stderr,
             )
-    slopes = {
-        kind: fit_slope([r for r in rows if r["engine"] == kind])
-        for kind in ("phased", "naive")
-    }
+    rows = by_kind["phased"] + by_kind["naive"]
+    slopes = {kind: fit_slope(kind_rows) for kind, kind_rows in by_kind.items()}
     for r in rows:
         r["slope"] = slopes[r["engine"]]
     doc = {

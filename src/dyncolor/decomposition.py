@@ -1,10 +1,12 @@
 """Sparser-denser decomposition: sparsity, clustering, refinement, validation.
 
 The partition is recomputed from scratch at phase boundaries and frozen
-for the duration of a phase; only the per-vertex external/anti-neighbor
-sets and the per-clique aggregates drift with edge updates.  Aggregates
-are exact integers, and every floor/threshold comparison is made in
-integer or rational arithmetic, never in floating point.
+for the duration of a phase; only the members' external-neighbor sets,
+each clique's anti-edge set and its external-edge total drift with edge
+updates.  A member's anti-degree is derived from its degree through
+deg(v) + 1 = |D| + e_v - a_v rather than stored.  Aggregates are exact
+integers, and every floor/threshold comparison is made in integer or
+rational arithmetic, never in floating point.
 
 The rebuild reads degrees off the adjacency sets once and packs the
 neighborhoods of the high-degree core into uint64 bit rows built from
@@ -171,33 +173,30 @@ class RawPartition:
 
 
 class Decomposition:
-    """Frozen vertex partition plus drifting per-vertex/per-clique data."""
+    """Frozen vertex partition of g plus drifting per-vertex/per-clique data."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.part: list[int | None] = [None] * (n + 1)
+    def __init__(self, g: DynamicGraph) -> None:
+        self.g = g
+        self.part: list[int | None] = [None] * (g.n + 1)
         self.cliques: list[Clique] = []
         self.ext: dict[int, set[int]] = {}
-        self.anti: dict[int, set[int]] = {}
-
-    def clique_of(self, v: int) -> Clique | None:
-        i = self.part[v]
-        return None if i is None else self.cliques[i]
 
     def e_v(self, v: int) -> int:
         return len(self.ext[v])
 
     def a_v(self, v: int) -> int:
-        return len(self.anti[v])
+        """Members of v's clique not adjacent to v: |D| - 1 - deg(v) + e_v."""
+        c = self.cliques[self.part[v]]
+        return c.size - 1 - len(self.g.adj[v]) + len(self.ext[v])
 
     def is_inlier(self, v: int) -> bool:
         """Inlier test against the current (drifted) averages."""
-        c = self.clique_of(v)
-        return c is not None and c.admits_inlier(len(self.ext[v]), len(self.anti[v]))
+        i = self.part[v]
+        return i is not None and self.cliques[i].admits_inlier(len(self.ext[v]), self.a_v(v))
 
     @property
     def sparse_vertices(self) -> list[int]:
-        return [v for v in range(1, self.n + 1) if self.part[v] is None]
+        return [v for v in range(1, self.g.n + 1) if self.part[v] is None]
 
     # -- incremental drift while membership stays frozen -------------------
 
@@ -205,10 +204,7 @@ class Decomposition:
         iu, iv = self.part[u], self.part[v]
         if iu is not None and iu == iv:
             # an anti-edge inside the clique disappears
-            c = self.cliques[iu]
-            c.anti_edges.discard((u, v) if u < v else (v, u))
-            self.anti[u].discard(v)
-            self.anti[v].discard(u)
+            self.cliques[iu].anti_edges.discard((u, v) if u < v else (v, u))
         else:
             if iu is not None:
                 self.ext[u].add(v)
@@ -220,10 +216,7 @@ class Decomposition:
     def apply_delete(self, u: int, v: int) -> None:
         iu, iv = self.part[u], self.part[v]
         if iu is not None and iu == iv:
-            c = self.cliques[iu]
-            c.anti_edges.add((u, v) if u < v else (v, u))
-            self.anti[u].add(v)
-            self.anti[v].add(u)
+            self.cliques[iu].anti_edges.add((u, v) if u < v else (v, u))
         else:
             if iu is not None:
                 self.ext[u].discard(v)
@@ -372,7 +365,7 @@ def refine_to_sparser_denser(
     raw: RawPartition, g: DynamicGraph, cfg: Config
 ) -> Decomposition:
     """Drop loose cliques into S and materialize exact per-clique data."""
-    d = Decomposition(g.n)
+    d = Decomposition(g)
     threshold = cfg.dissolve_threshold()
     deg, intra = raw.deg, raw.intra
     kept = []
@@ -393,10 +386,10 @@ def refine_to_sparser_denser(
             # the same set expressions as a from-scratch scan, for the
             # same iteration order; most members have neither kind
             d.ext[v] = g.adj[v] - cand if e_v else set()
-            av = d.anti[v] = cand - g.adj[v] - {v} if a_v else set()
-            for u in av:
-                if v < u:
-                    clique.anti_edges.add((v, u))
+            if a_v:
+                for u in cand - g.adj[v] - {v}:
+                    if v < u:
+                        clique.anti_edges.add((v, u))
         d.cliques.append(clique)
     return d
 
@@ -434,12 +427,11 @@ def validate_decomposition(
                 out.append(
                     Violation("intra-degree", loc, f"v={v} intra={intra} < {deg_floor}")
                 )
-            true_ext = g.adj[v] - c.members
-            true_anti = c.members - g.adj[v] - {v}
-            if d.ext[v] != true_ext:
+            if d.ext[v] != g.adj[v] - c.members:
                 out.append(Violation("ext-set", loc, f"E({v}) stale"))
-            if d.anti[v] != true_anti:
-                out.append(Violation("anti-set", loc, f"A({v}) stale"))
+            true_anti = len(c.members - g.adj[v] - {v})
+            if d.a_v(v) != true_anti:
+                out.append(Violation("anti-set", loc, f"a_{v}={d.a_v(v)} != {true_anti}"))
         if c.avg_anti + c.avg_ext > threshold:
             out.append(
                 Violation(

@@ -115,7 +115,7 @@ class Engine:
 
         self.meter = CostMeter()
         # all vertices sparser until a phase starts; the naive mode keeps it
-        self.decomp = Decomposition(n)
+        self.decomp = Decomposition(self.g)
         self.state = ColoringState(n, delta_cap + 1, self.decomp)
         t = cfg.phase_length
         self.log_n = ceil_log2(n)
@@ -154,7 +154,7 @@ class Engine:
             try:
                 report = fresh_mod.fresh_coloring(self)
                 break
-            except (PhaseRestart, fresh_mod.FreshFailed) as exc:
+            except PhaseRestart as exc:
                 last_err = exc
                 self.rng = random.Random(self.rng.getrandbits(64))
         else:
@@ -220,33 +220,31 @@ class Engine:
 
     def _handle_insert(self, u: int, v: int) -> None:
         self.g.insert_edge(u, v)
-        if self.mode == "phased":
-            self.decomp.apply_insert(u, v)
+        self.decomp.apply_insert(u, v)
         st = self.state
-        unmatched_clique: int | None = None
+        broke_pair = False
         if st.phi[u] is not None and st.phi[u] == st.phi[v]:
             st.set_color(u, None)
             if st.matched[u] is not None:
                 st.unmatch(u)
-                unmatched_clique = self.decomp.part[u]
-        if self.mode == "phased":
-            iu, iv = self.decomp.part[u], self.decomp.part[v]
-            # a conflict on a matched vertex shrinks its clique's matching
-            # even when the edge leaves the clique, so the deficit check
-            # covers u's clique whenever a pair was broken, not only the
-            # same-clique case
-            for ci in {i for i in (unmatched_clique, iu if iu == iv else None) if i is not None}:
-                self.restore_matching(ci)
+                broke_pair = True
+        part = self.decomp.part
+        iu = part[u]
+        # a conflict on a matched vertex shrinks its clique's matching
+        # even when the edge leaves the clique, so the deficit check
+        # covers u's clique whenever a pair was broken, not only the
+        # same-clique case
+        if iu is not None and (broke_pair or iu == part[v]):
+            self.restore_matching(iu)
         if st.phi[u] is None:
             self._dispatch_recolor(u)
 
     def _handle_delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
-        if self.mode == "phased":
-            self.decomp.apply_delete(u, v)
-            iu, iv = self.decomp.part[u], self.decomp.part[v]
-            if iu is not None and iu == iv:
-                self.restore_matching(iu)
+        self.decomp.apply_delete(u, v)
+        iu = self.decomp.part[u]
+        if iu is not None and iu == self.decomp.part[v]:
+            self.restore_matching(iu)
 
     def _dispatch_recolor(self, u: int) -> None:
         if self.mode == "naive":

@@ -18,10 +18,6 @@ if TYPE_CHECKING:
     from .engine import Engine
 
 
-class FreshFailed(Exception):
-    pass
-
-
 @dataclass
 class FreshReport:
     trial_count: int
@@ -38,8 +34,8 @@ class FreshReport:
 def fresh_coloring(eng: "Engine") -> FreshReport:
     """Total recoloring of the current graph over the frozen partition.
 
-    The caller provides a blank ColoringState; raises PhaseRestart or
-    FreshFailed if any sub-procedure exhausts its retry budget.
+    The caller provides a blank ColoringState; raises PhaseRestart if any
+    sub-procedure exhausts its retry budget.
     """
     st = eng.state
     trials_at_start = eng.meter.color_trials
@@ -115,7 +111,10 @@ def color_dense(eng: "Engine", v: int) -> None:
     cap = RETRY_SCALE * max(1, len(palette)) * eng.log_n
     for _ in range(cap):
         if not len(palette):
-            raise FreshFailed(f"clique palette exhausted in clique {ci}")
+            # engine imports this module, so its names load at the raise
+            from .engine import PhaseRestart
+
+            raise PhaseRestart(f"clique palette exhausted in clique {ci}")
         eng.meter.color_trials += 1
         chi = palette.sample(eng.rng)
         ok = True
@@ -127,4 +126,6 @@ def color_dense(eng: "Engine", v: int) -> None:
         if ok:
             eng._color(v, chi)
             return
-    raise FreshFailed(f"retry cap in clique {ci} while coloring {v}")
+    from .engine import PhaseRestart
+
+    raise PhaseRestart(f"retry cap in clique {ci} while coloring {v}")

@@ -147,16 +147,13 @@ def planted_clique_graph(
                 deg[e[0]] += 1
                 deg[e[1]] += 1
 
-    rest = list(range(base, n + 1))
-    clique_vertices = list(range(1, base))
-    if rest and clique_vertices and cross_avg_deg > 0:
-        # sparse-to-clique edges give denser vertices external neighbors
-        want = int(cross_avg_deg * len(rest) / 2)
+    def add_random_edges(want: int, draw) -> None:
+        # rejects duplicates and capped ends; stops at want edges or after
+        # 50 * want + 1000 misses, the limit shrinking as edges land
         misses = 0
         while want > 0 and misses < 50 * want + 1000:
-            u = rng.choice(rest)
-            v = rng.choice(clique_vertices)
-            k = (min(u, v), max(u, v))
+            u, v = draw()
+            k = (u, v) if u < v else (v, u)
             if k in edges or deg[u] >= delta_cap or deg[v] >= delta_cap:
                 misses += 1
                 continue
@@ -164,20 +161,17 @@ def planted_clique_graph(
             deg[u] += 1
             deg[v] += 1
             want -= 1
+
+    rest = list(range(base, n + 1))
+    clique_vertices = list(range(1, base))
+    if rest and clique_vertices and cross_avg_deg > 0:
+        # sparse-to-clique edges give denser vertices external neighbors
+        add_random_edges(
+            int(cross_avg_deg * len(rest) / 2),
+            lambda: (rng.choice(rest), rng.choice(clique_vertices)),
+        )
     if len(rest) >= 2 and noise_avg_deg > 0:
-        want = int(noise_avg_deg * len(rest) / 2)
-        misses = 0
-        while want > 0 and misses < 50 * want + 1000:
-            u, v = rng.sample(rest, 2)
-            if u > v:
-                u, v = v, u
-            if (u, v) in edges or deg[u] >= delta_cap or deg[v] >= delta_cap:
-                misses += 1
-                continue
-            edges.add((u, v))
-            deg[u] += 1
-            deg[v] += 1
-            want -= 1
+        add_random_edges(int(noise_avg_deg * len(rest) / 2), lambda: rng.sample(rest, 2))
     return sorted(edges), planted
 
 

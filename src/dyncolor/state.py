@@ -105,7 +105,7 @@ class ColoringState:
             g.delta_cap
             - g.degree(v)
             + self.matching_size(ci)
-            - len(self.decomp.anti[v])
+            - self.decomp.a_v(v)
             + uncolored
         )
 

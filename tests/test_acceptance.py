@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from dyncolor import adversary as adv
-from dyncolor.cli import fit_slope, main as cli_main, resolve_epsilon, scaling_row
+from dyncolor.cli import fit_slope, main as cli_main, resolve_epsilon, scaling_pair
 from dyncolor.config import Config, auto_zeta
 from dyncolor.decomposition import compute_acd, refine_to_sparser_denser
 from dyncolor.drive import drive
@@ -150,11 +150,8 @@ def fresh_family_runs():
 
 @pytest.fixture(scope="session")
 def scaling_rows():
-    grid = (512, 1024, 2048, 4096, 8192)
-    return {
-        kind: [scaling_row(n, 800, 1, kind) for n in grid]
-        for kind in ("phased", "naive")
-    }
+    pairs = [scaling_pair(n, 800, 1) for n in (512, 1024, 2048, 4096, 8192)]
+    return {kind: [pair[kind] for pair in pairs] for kind in ("phased", "naive")}
 
 
 # ---------------------------------------------------------------------------

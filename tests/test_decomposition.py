@@ -472,7 +472,7 @@ def test_validator_flags_dense_vertex_in_sparse_set():
     delta = 10
     n, edges = _complete_blocks(1, delta + 1)
     g = build_graph(n, delta, edges)
-    d = Decomposition(n)  # everything sparse, including K vertices
+    d = Decomposition(g)  # everything sparse, including K vertices
     cfg = dense_cfg(zeta=1)
     kinds = {v.kind for v in validate_decomposition(d, g, cfg)}
     assert kinds == {"sparsity"}
@@ -531,3 +531,46 @@ def test_drift_matches_recomputation():
         for x in viols
         if x.kind in ("ext-set", "anti-set", "aggregate", "anti-edge-set")
     ]
+
+
+@pytest.mark.parametrize("seed", [14, 15, 17])
+def test_member_counts_track_drift_step_by_step(seed):
+    # two planted cliques with cross edges: updates land inside a clique,
+    # between the cliques and between a clique and the sparse rest
+    n, cap = 90, 24
+    edges, _ = planted_clique_graph(
+        n, cap, seed=seed, num_cliques=2, clique_size=25, anti_edges_per_clique=10,
+        noise_avg_deg=3.0, cross_avg_deg=1.5,
+    )
+    g = build_graph(n, cap, edges)
+    cfg = dense_cfg()
+    d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
+    assert len(d.cliques) == 2
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(300):
+        c = rng.choice(d.cliques)
+        u = rng.choice(sorted(c.members))
+        v = rng.choice(sorted(c.members)) if rng.random() < 0.5 else rng.randint(1, n)
+        if u == v:
+            continue
+        if g.has_edge(u, v):
+            g.delete_edge(u, v)
+            d.apply_delete(u, v)
+        elif g.degree(u) < cap and g.degree(v) < cap:
+            g.insert_edge(u, v)
+            d.apply_insert(u, v)
+        else:
+            continue
+        kinds.add((g.has_edge(u, v), v in c.members))
+        for c in d.cliques:
+            anti = {w: len(c.members - g.adj[w] - {w}) for w in c.members}
+            ext = {w: len(g.adj[w] - c.members) for w in c.members}
+            assert (c.sum_anti, c.sum_ext) == (sum(anti.values()), sum(ext.values()))
+            for w in c.members:
+                assert d.a_v(w) == anti[w]
+                assert d.e_v(w) == ext[w]
+                assert sum(w in pair for pair in c.anti_edges) == anti[w]
+                assert d.is_inlier(w) == c.admits_inlier(ext[w], anti[w])
+    # inserts and deletes, each inside a clique and across its boundary
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}

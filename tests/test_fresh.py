@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dyncolor.config import Config
-from dyncolor.engine import Engine
+from dyncolor.engine import Engine, EngineFailure, PhaseRestart
 from dyncolor.fresh import color_dense, one_shot_coloring
 from dyncolor.instances import mixed_graph
 from dyncolor.verify import brute_clique_palette, brute_palette, verify_fresh_properties
@@ -101,6 +103,25 @@ def test_color_dense_last_vertex_forced_color():
     assert len(forced) == 1
     color_dense(eng, v)
     assert st.phi[v] == forced.pop()
+
+
+def test_color_dense_failures_restart_the_phase():
+    delta = 20
+    n = delta + 1
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    eng = Engine(n, delta, dense_cfg(), seed=2, mode="phased", initial_edges=edges)
+    # all delta + 1 colors are held inside the clique
+    with pytest.raises(PhaseRestart, match=r"^clique palette exhausted in clique 0$"):
+        color_dense(eng, 7)
+    eng.state.set_color(7, None)
+    eng.log_n = 0  # a trial budget of zero
+    with pytest.raises(PhaseRestart, match=r"^retry cap in clique 0 while coloring 7$"):
+        color_dense(eng, 7)
+    # every fresh attempt of the next phase fails the same way
+    with pytest.raises(
+        EngineFailure, match=r"^fresh coloring failed: retry cap in clique 0 while coloring 1$"
+    ):
+        eng._start_phase()
 
 
 def test_color_dense_accepts_only_palette_intersection():

@@ -1,4 +1,5 @@
-"""random_graph against the plain randint loop it replaced, and pinned outputs."""
+"""random_graph against the plain randint loop it replaced, and pinned outputs
+of random_graph and planted_clique_graph."""
 
 from __future__ import annotations
 
@@ -11,7 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyncolor import instances
-from dyncolor.instances import fuzz_graph, random_graph, random_sparse_graph
+from dyncolor.instances import (
+    fuzz_graph,
+    mixed_graph,
+    planted_clique_graph,
+    random_graph,
+    random_sparse_graph,
+)
 
 
 def _reference_random_graph(
@@ -57,12 +64,33 @@ PINNED = [
      "4bd7ca501161b4f1fe76b98611c0344d8418937ad876f4023834d849aab0bb9b"),
 ]
 
+# sha256 of repr(edge list), recorded before planted_clique_graph's two
+# rejection loops were folded into one helper; the last case is cap-tight,
+# so its cross loop ends at the miss limit with 16 of 36 edges placed
+PINNED_PLANTED = [
+    (lambda: mixed_graph(512, 64, 3)[0],
+     "8c6f3adf20c8ed20e612acaead5fd3425d13865902e436468eb016dd06c46c90"),
+    (lambda: planted_clique_graph(
+        160, 80, 1000, clique_size=78, anti_edges_per_clique=30,
+        noise_avg_deg=6.0, cross_avg_deg=1.5)[0],
+     "728e2b7dd3a3c6efce3e3ce1b8afaaf8bcbf8a92c7eb7e41bd7793c0a3f6cf7e"),
+    (lambda: planted_clique_graph(
+        30, 6, 5, num_cliques=2, clique_size=6, anti_edges_per_clique=1,
+        noise_avg_deg=2.0, cross_avg_deg=4.0)[0],
+     "f024d6027cc14b332ec27a1e9747599897409402c250519e597c0d7f68e7f2b9"),
+]
+
 # tracemalloc peak of random_graph(1024, 256, 0.8, 1) under the randint loop
 REFERENCE_PEAK_BYTES = 16_254_360
 
 
 @pytest.mark.parametrize("make, digest", PINNED)
 def test_pinned_edge_digests(make, digest):
+    assert _digest(make()) == digest
+
+
+@pytest.mark.parametrize("make, digest", PINNED_PLANTED)
+def test_pinned_planted_edge_digests(make, digest):
     assert _digest(make()) == digest
 
 

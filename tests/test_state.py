@@ -89,7 +89,7 @@ def test_redundant_enters_at_two_and_leaves_at_one():
 def test_sparse_palette_examples():
     n, delta = 10, 4
     g = DynamicGraph(n, delta)
-    d = Decomposition(n)
+    d = Decomposition(g)
     st_ = ColoringState(n, delta + 1, d)
     # no sparser neighbors -> full palette
     assert st_.sparse_palette(g, 1) == set(range(1, delta + 2))

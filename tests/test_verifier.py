@@ -51,7 +51,7 @@ def test_proper_fast_agrees_with_slow():
         from dyncolor.decomposition import Decomposition
         from dyncolor.state import ColoringState
 
-        state = ColoringState(n, cap + 1, Decomposition(n))
+        state = ColoringState(n, cap + 1, Decomposition(g))
         for v in range(1, n + 1):
             state.set_color(
                 v, rng.choice([None] + list(range(1, cap + 2)))
