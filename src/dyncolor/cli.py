@@ -25,6 +25,7 @@ from .config import Config, auto_zeta
 from .drive import drive
 from .engine import CostMeter, Engine, EngineFailure, InlierPaletteEmpty
 from .graph import GraphError
+from .instances import random_graph
 from .report import summarize
 
 METRICS_SCHEMA = "dyncolor-metrics/1"
@@ -241,8 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def scaling_pair(n: int, steps: int, rep_seed: int) -> dict[str, dict]:
     """One scaling measurement per engine kind, phased then naive: the
     conflict adversary on one dense instance, generated once for both."""
-    from .instances import random_graph
-
     delta = n // 4
     edges = random_graph(n, delta, 0.8, seed=rep_seed * 7919 + n)
     configs = {

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import fresh as fresh_mod
+from . import verify as verify_mod
 from .config import RETRY_SCALE, Config, ceil_log2
 from .decomposition import (
     DecompositionFailed,
@@ -24,15 +25,12 @@ from .decomposition import (
     compute_acd,
     refine_to_sparser_denser,
 )
+from .fresh import PhaseRestart
 from .graph import DynamicGraph
 from .state import ColoringState
 
 # fresh colorings tried per phase start before the engine gives up
 FRESH_RETRIES = 2
-
-
-class PhaseRestart(Exception):
-    """A retry cap was exhausted; the phase is recolored from scratch."""
 
 
 class InlierPaletteEmpty(Exception):
@@ -52,12 +50,22 @@ class CostMeter:
     fresh_cost: int = 0
     fresh_runs: int = 0
     restarts: int = 0
+    sparse_recolors: int = 0
+    steals: int = 0
 
     def total_ops(self) -> int:
         return self.color_trials + self.class_scans + self.palette_probes + self.recolorings
 
-    def snapshot(self) -> tuple[int, int, int, int]:
-        return (self.color_trials, self.class_scans, self.palette_probes, self.recolorings)
+    def snapshot(self) -> tuple[int, int, int, int, int, int]:
+        """The per-update counts, in CostReport field order."""
+        return (
+            self.color_trials,
+            self.class_scans,
+            self.palette_probes,
+            self.recolorings,
+            self.sparse_recolors,
+            self.steals,
+        )
 
 
 @dataclass(slots=True)
@@ -103,7 +111,6 @@ class Engine:
         self.cfg = cfg
         self.g = DynamicGraph(n, delta_cap)
         self.rng = random.Random(seed)
-        self.seed = seed
         # strict mode raises on a broken invariant instead of restarting the
         # phase, and fills the fresh reports' slack and class-size figures
         self.strict = strict
@@ -116,7 +123,7 @@ class Engine:
         self.meter = CostMeter()
         # all vertices sparser until a phase starts; the naive mode keeps it
         self.decomp = Decomposition(self.g)
-        self.state = ColoringState(n, delta_cap + 1, self.decomp)
+        self.state = ColoringState(self.decomp)
         t = cfg.phase_length
         self.log_n = ceil_log2(n)
         self.phase = PhaseController(
@@ -124,8 +131,6 @@ class Engine:
             retry_cap_sparse=math.ceil(RETRY_SCALE * (delta_cap + 1) / t) * self.log_n,
             retry_cap_matching=RETRY_SCALE * self.log_n,
         )
-        self._update_sparse_recolors = 0
-        self._update_steals = 0
         self.updates_applied = 0
         self.fresh_reports: list = []
 
@@ -150,7 +155,7 @@ class Engine:
         before = self.meter.total_ops()
         last_err: Exception | None = None
         for attempt in range(FRESH_RETRIES + 1):
-            self.state = ColoringState(self.g.n, self.g.delta_cap + 1, self.decomp)
+            self.state = ColoringState(self.decomp)
             try:
                 report = fresh_mod.fresh_coloring(self)
                 break
@@ -176,8 +181,6 @@ class Engine:
         if self.mode == "phased" and self.phase.counter >= self.phase.t:
             self._start_phase()
         before = self.meter.snapshot()
-        self._update_sparse_recolors = 0
-        self._update_steals = 0
         restarted = False
         try:
             if update.op == "+":
@@ -192,13 +195,8 @@ class Engine:
             self._start_phase()
         self.phase.counter += 1
         self.updates_applied += 1
-        after = self.meter.snapshot()
-        return CostReport(
-            *(a - b for a, b in zip(after, before)),
-            sparse_recolors=self._update_sparse_recolors,
-            steals=self._update_steals,
-            restarted=restarted,
-        )
+        delta = (a - b for a, b in zip(self.meter.snapshot(), before))
+        return CostReport(*delta, restarted=restarted)
 
     def snapshot(self) -> dict:
         return {
@@ -211,8 +209,6 @@ class Engine:
         }
 
     def verify_now(self) -> list:
-        from . import verify as verify_mod
-
         return verify_mod.check_all(self.g, self.decomp, self.state, self.cfg)
 
     # ------------------------------------------------------------------
@@ -263,11 +259,11 @@ class Engine:
         self.state.set_color(v, chi)
         self.meter.recolorings += 1
         if self.decomp.part[v] is None:
-            self._update_sparse_recolors += 1
+            self.meter.sparse_recolors += 1
 
     def _steal(self, w: int) -> None:
         self.state.set_color(w, None)
-        self._update_steals += 1
+        self.meter.steals += 1
 
     # ------------------------------------------------------------------
     # naive regime

@@ -18,6 +18,10 @@ if TYPE_CHECKING:
     from .engine import Engine
 
 
+class PhaseRestart(Exception):
+    """A retry cap was exhausted; the phase is recolored from scratch."""
+
+
 @dataclass
 class FreshReport:
     trial_count: int
@@ -66,7 +70,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
     )
     if eng.strict:
         report.min_sparse_slack = min(
-            (len(st.sparse_palette(eng.g, v)) for v in sparse), default=None
+            (len(st.sparse_palette(v)) for v in sparse), default=None
         )
         report.max_sparse_class = max(
             (
@@ -111,9 +115,6 @@ def color_dense(eng: "Engine", v: int) -> None:
     cap = RETRY_SCALE * max(1, len(palette)) * eng.log_n
     for _ in range(cap):
         if not len(palette):
-            # engine imports this module, so its names load at the raise
-            from .engine import PhaseRestart
-
             raise PhaseRestart(f"clique palette exhausted in clique {ci}")
         eng.meter.color_trials += 1
         chi = palette.sample(eng.rng)
@@ -126,6 +127,4 @@ def color_dense(eng: "Engine", v: int) -> None:
         if ok:
             eng._color(v, chi)
             return
-    from .engine import PhaseRestart
-
     raise PhaseRestart(f"retry cap in clique {ci} while coloring {v}")

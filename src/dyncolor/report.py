@@ -11,9 +11,6 @@ class Violation:
     location: str
     details: str = ""
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "location": self.location, "details": self.details}
-
 
 def summarize(violations: list[Violation], limit: int = 20) -> str:
     lines = [f"{v.kind} @ {v.location}: {v.details}" for v in violations[:limit]]

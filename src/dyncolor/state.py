@@ -11,7 +11,6 @@ two holders, which is what makes floor(8*a_D) comparisons testable.
 from __future__ import annotations
 
 from .decomposition import Decomposition
-from .graph import DynamicGraph
 from .sets import SampleSet
 
 
@@ -20,9 +19,9 @@ class ColorOutOfRange(Exception):
 
 
 class ColoringState:
-    def __init__(self, n: int, num_colors: int, decomp: Decomposition) -> None:
-        self.n = n
-        self.num_colors = num_colors
+    def __init__(self, decomp: Decomposition) -> None:
+        n = self.n = decomp.g.n
+        num_colors = self.num_colors = decomp.g.delta_cap + 1
         self.decomp = decomp
         self.phi: list[int | None] = [None] * (n + 1)
         self.classes: list[set[int]] = [set() for _ in range(num_colors + 1)]
@@ -85,22 +84,23 @@ class ColoringState:
     def clique_holders(self, ci: int, chi: int) -> set[int]:
         return self.clique_classes[ci].get(chi, set())
 
-    def sparse_palette(self, g: DynamicGraph, v: int) -> set[int]:
+    def sparse_palette(self, v: int) -> set[int]:
         """Colors not used by any sparser neighbor of v."""
         used = {
             self.phi[u]
-            for u in g.adj[v]
+            for u in self.decomp.g.adj[v]
             if self.decomp.part[u] is None and self.phi[u] is not None
         }
         return set(range(1, self.num_colors + 1)) - used
 
-    def accounting_lower_bound(self, g: DynamicGraph, v: int) -> int:
+    def accounting_lower_bound(self, v: int) -> int:
         """Guaranteed (possibly negative) size of L(D) intersect L(v)."""
         ci = self.decomp.part[v]
         assert ci is not None, "accounting bound applies to denser vertices"
         c = self.decomp.cliques[ci]
         uncolored = sum(1 for u in c.members if self.phi[u] is None)
         uncolored += sum(1 for u in self.decomp.ext[v] if self.phi[u] is None)
+        g = self.decomp.g
         return (
             g.delta_cap
             - g.degree(v)
@@ -119,16 +119,11 @@ class ColoringState:
 
     @classmethod
     def rebuild(
-        cls,
-        n: int,
-        num_colors: int,
-        decomp: Decomposition,
-        phi: list[int | None],
-        matched: list[int | None],
+        cls, decomp: Decomposition, phi: list[int | None], matched: list[int | None]
     ) -> "ColoringState":
         """Reconstruct every view from phi alone (oracle for consistency)."""
-        st = cls(n, num_colors, decomp)
-        for v in range(1, n + 1):
+        st = cls(decomp)
+        for v in range(1, st.n + 1):
             if phi[v] is not None:
                 st.set_color(v, phi[v])
         st.matched = list(matched)

@@ -133,9 +133,7 @@ def check_view_consistency(
 ) -> list[Violation]:
     """Incremental views must equal a from-scratch rebuild over phi."""
     out: list[Violation] = []
-    rebuilt = ColoringState.rebuild(
-        g.n, state.num_colors, decomp, state.phi, state.matched
-    )
+    rebuilt = ColoringState.rebuild(decomp, state.phi, state.matched)
     for chi in range(1, state.num_colors + 1):
         if state.classes[chi] != rebuilt.classes[chi]:
             out.append(Violation("view-consistency", f"chi={chi}", "class drift"))
@@ -159,7 +157,7 @@ def check_sparse_slack(
     slack_floor = SLACK_COEFF * cfg.gamma * cfg.zeta
     for v in range(1, g.n + 1):
         if decomp.part[v] is None:
-            slack = len(state.sparse_palette(g, v))
+            slack = len(state.sparse_palette(v))
             if slack < slack_floor:
                 out.append(Violation("sparse-slack", f"v={v}", f"{slack} < {slack_floor}"))
     return out
@@ -254,7 +252,7 @@ def check_invariants(
         palette = brute_clique_palette(state, c.members)
         for v in sorted(c.members):
             lhs = len(palette & brute_palette(g, state, v))
-            bound = state.accounting_lower_bound(g, v)
+            bound = state.accounting_lower_bound(v)
             if lhs < bound:
                 out.append(
                     Violation("accounting", f"v={v}", f"|L(D) cap L(v)|={lhs} < {bound}")

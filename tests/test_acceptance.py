@@ -86,10 +86,17 @@ def _drive(
 
 @pytest.fixture(scope="session")
 def adversary_runs():
-    """3 adversaries x n in {128..1024} at default constants, plus two
-    planted-clique runs that keep the phased/dense machinery engaged."""
+    """2 adversaries x n in {128..1024} at default constants, plus two
+    planted-clique runs that keep the phased/dense machinery engaged.
+
+    The grid has no matching-attacker rows: mode="auto" resolves to naive
+    at these sizes, so there are no cliques or matched pairs, and the
+    attacker falls through to the conflict adversary with the same rng,
+    engine seed and stream seed; each such row repeated its conflict row
+    update for update.  The planted dense-matching run keeps the attacker
+    working against cliques."""
     runs = []
-    for adversary in ("oblivious", "conflict", "matching"):
+    for adversary in ("oblivious", "conflict"):
         for n in (128, 256, 512, 1024):
             delta = n // 4
             eps, _ = resolve_epsilon(delta, None)
@@ -213,20 +220,20 @@ def test_criterion_3_oracle_equivalence():
         graphs += 1
         cliques_seen += len(d.cliques)
 
-        st = ColoringState(n, delta + 1, d)
+        st = ColoringState(d)
         for v in range(1, n + 1):
             st.set_color(v, rng.choice([None] + list(range(1, delta + 2))))
 
         assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
         for v in range(1, n + 1):
             # the palette agrees with the class view the recolorer scans
-            assert st.sparse_palette(g, v) == {
+            assert st.sparse_palette(v) == {
                 chi
                 for chi in range(1, delta + 2)
                 if not any(u in g.adj[v] and d.part[u] is None for u in st.classes[chi])
             }
 
-        rb = ColoringState.rebuild(n, delta + 1, d, st.phi, st.matched)
+        rb = ColoringState.rebuild(d, st.phi, st.matched)
         assert st.classes == rb.classes
         assert st.clique_classes == rb.clique_classes
         assert st.redundant == rb.redundant
@@ -246,7 +253,7 @@ def test_criterion_3_oracle_equivalence():
                 unc = sum(1 for u in c.members if st.phi[u] is None) + sum(
                     1 for u in ext if st.phi[u] is None
                 )
-                assert st.accounting_lower_bound(g, v) == (
+                assert st.accounting_lower_bound(v) == (
                     delta - g.degree(v) + m - anti + unc
                 )
     _report(

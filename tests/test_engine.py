@@ -275,6 +275,48 @@ def test_phase_restart_on_retry_exhaustion():
         eng.recolor_sparse(sparse)
 
 
+def test_apply_recolors_the_phase_when_an_update_restarts(monkeypatch):
+    eng, _ = planted_engine(seed=3, zeta=320)
+    st, g, part = eng.state, eng.g, eng.decomp.part
+    u, v = next(
+        (u, v)
+        for u in range(1, g.n + 1)
+        for v in range(u + 1, g.n + 1)
+        if part[u] is None
+        and part[v] is None
+        and st.phi[u] == st.phi[v]
+        and not g.has_edge(u, v)
+        and g.degree(u) < g.delta_cap
+        and g.degree(v) < g.delta_cap
+    )
+    # the update's own sparse recolor trips a retry cap; every later call,
+    # those of the fresh coloring included, runs the real recolorer
+    recolor = eng.recolor_sparse
+    tripped = []
+
+    def restart_once(w):
+        if not tripped:
+            tripped.append(w)
+            raise PhaseRestart(f"forced at v={w}")
+        recolor(w)
+
+    monkeypatch.setattr(eng, "recolor_sparse", restart_once)
+    restarts, fresh_runs = eng.meter.restarts, eng.meter.fresh_runs
+    report = eng.apply(Update("+", u, v))
+    assert tripped == [u]
+    assert report.restarted
+    assert eng.meter.restarts == restarts + 1
+    assert eng.meter.fresh_runs == fresh_runs + 1
+    assert eng.phase.counter == 1
+    assert eng.verify_now() == []
+    # the fresh coloring recolors, through recolor_sparse, every sparser
+    # vertex that the one-shot round leaves uncolored, and the update
+    # reports those recolors as its own
+    left = len(eng.decomp.sparse_vertices) - eng.fresh_reports[-1].one_shot_colored
+    assert left > 0
+    assert report.sparse_recolors == left
+
+
 def test_rebuild_certifies_sparse_pool_above_512_vertices():
     # 25 disjoint K_21 at epsilon = 1/110: adjacent members share 19 < 20
     # neighbors, so no clique is found and every pooled vertex has

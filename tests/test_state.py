@@ -21,7 +21,7 @@ def _planted_state(seed=6, n=50, delta=20):
     cfg = dense_cfg()
     d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
     assert d.cliques
-    return g, d, ColoringState(n, delta + 1, d)
+    return g, d, ColoringState(d)
 
 
 def test_set_color_roundtrip():
@@ -90,14 +90,14 @@ def test_sparse_palette_examples():
     n, delta = 10, 4
     g = DynamicGraph(n, delta)
     d = Decomposition(g)
-    st_ = ColoringState(n, delta + 1, d)
+    st_ = ColoringState(d)
     # no sparser neighbors -> full palette
-    assert st_.sparse_palette(g, 1) == set(range(1, delta + 2))
+    assert st_.sparse_palette(1) == set(range(1, delta + 2))
     g.insert_edge(1, 2)
     g.insert_edge(1, 3)
     st_.set_color(2, 1)
     st_.set_color(3, 2)
-    assert st_.sparse_palette(g, 1) == {3, 4, 5}
+    assert st_.sparse_palette(1) == {3, 4, 5}
 
 
 def test_matching_pointers():
@@ -128,7 +128,7 @@ def _k5_state(missing_edge=None):
     raw = brute_partition(g, set(), [set(range(1, 6))])
     d = refine_to_sparser_denser(raw, g, cfg)
     assert len(d.cliques) == 1
-    return g, d, ColoringState(5, delta + 1, d)
+    return g, d, ColoringState(d)
 
 
 def test_accounting_complete_clique():
@@ -136,7 +136,7 @@ def test_accounting_complete_clique():
     for v, chi in ((1, 1), (2, 2), (3, 3), (4, 4)):
         st_.set_color(v, chi)
     v = 5
-    bound = st_.accounting_lower_bound(g, v)
+    bound = st_.accounting_lower_bound(v)
     assert bound == 1  # 4 - 4 + 0 - 0 + 1
     lhs = brute_clique_palette(st_, d.cliques[0].members) & brute_palette(g, st_, v)
     assert len(lhs) == 1
@@ -150,7 +150,7 @@ def test_accounting_with_matched_pair():
     st_.set_color(4, 2)
     st_.set_color(5, 3)
     v = 3
-    bound = st_.accounting_lower_bound(g, v)
+    bound = st_.accounting_lower_bound(v)
     assert st_.matching_size(0) == 1
     assert bound == 2  # 4 - 4 + 1 - 0 + 1
     lhs = brute_clique_palette(st_, d.cliques[0].members) & brute_palette(g, st_, v)
@@ -169,7 +169,7 @@ def test_accounting_bound_sound_on_random_states():
             brute_clique_palette(st_, d.cliques[0].members)
             & brute_palette(g, st_, u)
         )
-        assert lhs >= st_.accounting_lower_bound(g, u)
+        assert lhs >= st_.accounting_lower_bound(u)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +184,7 @@ def test_rebuild_equals_incremental(seed):
     for _ in range(120):
         v = rng.randint(1, g.n)
         st_.set_color(v, rng.choice([None] + list(range(1, g.delta_cap + 2))))
-    rebuilt = ColoringState.rebuild(
-        g.n, st_.num_colors, d, st_.phi, st_.matched
-    )
+    rebuilt = ColoringState.rebuild(d, st_.phi, st_.matched)
     assert rebuilt.phi == st_.phi
     assert rebuilt.classes == st_.classes
     assert rebuilt.clique_classes == st_.clique_classes

@@ -33,7 +33,6 @@ def test_proper_flags_uncolored_vertex():
 
 
 def test_proper_flags_monochromatic_edge():
-    g = build_graph(4, 3, [(1, 2), (2, 3)])
     eng, _ = planted_engine(seed=5)
     u, v = next(iter(eng.g.edges()))
     eng.state.set_color(u, eng.state.phi[v])
@@ -51,7 +50,7 @@ def test_proper_fast_agrees_with_slow():
         from dyncolor.decomposition import Decomposition
         from dyncolor.state import ColoringState
 
-        state = ColoringState(n, cap + 1, Decomposition(g))
+        state = ColoringState(Decomposition(g))
         for v in range(1, n + 1):
             state.set_color(
                 v, rng.choice([None] + list(range(1, cap + 2)))
