@@ -9,14 +9,12 @@ so they diff cleanly and replay with O(1) memory.
 
 from __future__ import annotations
 
-import math
 import random
-from bisect import bisect_right
-from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .engine import Engine, Update
 from .graph import DynamicGraph
+from .state import ColoringState
 
 
 class ParseError(Exception):
@@ -26,17 +24,101 @@ class ParseError(Exception):
         self.lineno = lineno
 
 
+class _SparePairs:
+    """Fenwick tree over colors 1..Δ+1 of the pair weights C(k, 2), where
+    k counts the color's holders below the degree cap.
+
+    refresh() brings it up to date with the engine: from scratch, in
+    O(Δ + |full|), when the coloring does not carry this index's watch set
+    (a new coloring carries none; another view may have registered its
+    own); otherwise only the colors that set_color touched and the colors
+    of the vertices that entered or left g.full since the last refresh.
+    """
+
+    __slots__ = ("eng", "watch", "full", "weights", "total", "tree")
+
+    def __init__(self, eng: Engine) -> None:
+        self.eng = eng
+        # no coloring carries this set, so the first refresh rebuilds
+        self.watch: set[int | None] = set()
+        self.full: set[int] = set()
+        self.weights: list[int] = []
+        self.total = 0
+        self.tree: list[int] = []
+
+    def refresh(self) -> None:
+        st, g = self.eng.state, self.eng.g
+        if st.watch is not self.watch:
+            self._rebuild(st, g.full)
+            return
+        dirty = self.watch
+        moved = g.full ^ self.full
+        if moved:
+            self.full ^= moved
+            phi = st.phi
+            dirty.update(phi[v] for v in moved)
+        if not dirty:
+            return
+        dirty.discard(None)
+        classes, full, weights, tree = st.classes, self.full, self.weights, self.tree
+        size = len(tree)
+        for chi in dirty:
+            cls = classes[chi]
+            k = len(cls) - len(cls & full)
+            d = k * (k - 1) // 2 - weights[chi]
+            if d:
+                weights[chi] += d
+                self.total += d
+                while chi < size:
+                    tree[chi] += d
+                    chi += chi & -chi
+        dirty.clear()
+
+    def _rebuild(self, st: ColoringState, full: set[int]) -> None:
+        self.watch = st.watch = set()
+        self.full = set(full)
+        sizes = list(map(len, st.classes))
+        for v in self.full:
+            chi = st.phi[v]
+            if chi is not None:
+                sizes[chi] -= 1
+        self.weights = [k * (k - 1) // 2 for k in sizes]
+        self.total = sum(self.weights)
+        # index 0 holds no color and weighs 0; build in place in O(Δ)
+        tree = self.tree = self.weights[:]
+        size = len(tree)
+        for i in range(1, size):
+            j = i + (i & -i)
+            if j < size:
+                tree[j] += tree[i]
+
+    def find(self, r: int) -> int:
+        """The least color whose weight prefix sum exceeds r, 0 <= r < total."""
+        tree, size = self.tree, len(self.tree)
+        pos, step = 0, 1 << ((size - 1).bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt < size and tree[nxt] <= r:
+                pos = nxt
+                r -= tree[nxt]
+            step >>= 1
+        return pos + 1
+
+
 class AdversaryView:
     """What an adaptive adversary may observe: colors, matches, graph.
 
     Accessors copy nothing mutable out and accept nothing in, so the
-    adversary cannot perturb engine state.
+    adversary cannot perturb engine state.  The view keeps one private
+    index of spare same-color pairs, and registers its watch set on the
+    engine's coloring to keep that index current.
     """
 
-    __slots__ = ("_engine",)
+    __slots__ = ("_engine", "_spares")
 
     def __init__(self, engine: Engine) -> None:
         object.__setattr__(self, "_engine", engine)
+        object.__setattr__(self, "_spares", _SparePairs(engine))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("view is read-only")
@@ -58,17 +140,6 @@ class AdversaryView:
 
     def has_edge(self, u: int, v: int) -> bool:
         return self._engine.g.has_edge(u, v)
-
-    def spare_class_sizes(self) -> list[int]:
-        """Per color 1..Δ+1 (index 0 unused), how many of its holders are
-        below the degree cap."""
-        st = self._engine.state
-        sizes = list(map(len, st.classes))
-        for v in self._engine.g.full:
-            chi = st.phi[v]
-            if chi is not None:
-                sizes[chi] -= 1
-        return sizes
 
     def spare_members(self, chi: int) -> list[int]:
         """Holders of color chi below the degree cap, in ascending id."""
@@ -164,11 +235,12 @@ def conflict_adversary(view: AdversaryView, rng: random.Random) -> Update:
     # colors are proper between updates, so same-colored vertices are
     # never adjacent: class-weighted sampling over spare-degree members
     # is uniform over the eligible pairs without enumerating them
-    cum = list(accumulate(map(math.comb, view.spare_class_sizes(), repeat(2))))
-    total = cum[-1]
+    spares = view._spares
+    spares.refresh()
+    total = spares.total
     if total:
         for _ in range(20):
-            chi = bisect_right(cum, rng.randrange(total))
+            chi = spares.find(rng.randrange(total))
             u, v = rng.sample(view.spare_members(chi), 2)
             if not view.has_edge(u, v):
                 return Update("+", min(u, v), max(u, v))

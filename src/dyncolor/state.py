@@ -34,6 +34,9 @@ class ColoringState:
         ]
         self.redundant: list[set[int]] = [set() for _ in decomp.cliques]
         self.matched: list[int | None] = [None] * (n + 1)
+        # a set registered by one adversary view: set_color adds both the
+        # old and the new color of every change to it (None included)
+        self.watch: set[int | None] | None = None
 
     # -- core mutation ------------------------------------------------------
 
@@ -43,6 +46,8 @@ class ColoringState:
         old = self.phi[v]
         if old == chi:
             return
+        if self.watch is not None:
+            self.watch.update((old, chi))
         ci = self.decomp.part[v]
         if old is not None:
             self.classes[old].discard(v)

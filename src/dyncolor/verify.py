@@ -129,7 +129,7 @@ def check_proper(g: DynamicGraph, state: ColoringState) -> list[Violation]:
 
 
 def check_view_consistency(
-    g: DynamicGraph, decomp: Decomposition, state: ColoringState
+    decomp: Decomposition, state: ColoringState
 ) -> list[Violation]:
     """Incremental views must equal a from-scratch rebuild over phi."""
     out: list[Violation] = []
@@ -269,5 +269,5 @@ def check_all(
     return (
         check_proper_fast(g, state)
         + check_invariants(g, decomp, state, cfg)
-        + check_view_consistency(g, decomp, state)
+        + check_view_consistency(decomp, state)
     )

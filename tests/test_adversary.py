@@ -1,7 +1,12 @@
 import hashlib
+import math
 import random
+from bisect import bisect_right
+from functools import cache
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dyncolor.adversary import (
     AdversaryView,
@@ -17,6 +22,7 @@ from dyncolor.config import Config
 from dyncolor.engine import Engine, Update
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import random_graph
+from dyncolor.state import ColoringState
 
 from conftest import planted_engine
 
@@ -236,24 +242,119 @@ def test_views_are_sealed():
         dview.anything = 1
 
 
-def test_view_accessors_match_engine():
-    eng = _capped_naive_engine()
+def _spare_sizes(eng: Engine) -> list[int]:
+    """Oracle: per color 0..Δ+1 (index 0 unused), how many of its holders
+    are below the degree cap, counted from phi and the degrees."""
     g, phi = eng.g, eng.state.phi
-    assert any(g.degree(v) == g.delta_cap for v in range(1, g.n + 1))
+    sizes = [0] * (g.delta_cap + 2)
+    for u in range(1, g.n + 1):
+        if phi[u] is not None and g.degree(u) < g.delta_cap:
+            sizes[phi[u]] += 1
+    return sizes
+
+
+def test_view_accessors_match_engine():
+    # the capped engine leaves at most one spare holder per color; at
+    # density 0.9 spare and capped holders share classes of several
+    half_capped = Engine(
+        60, 6, Config(zeta=3), seed=1, initial_edges=random_graph(60, 6, 0.9, 1)
+    )
+    for eng in (_capped_naive_engine(), half_capped):
+        g, phi = eng.g, eng.state.phi
+        assert any(g.degree(v) == g.delta_cap for v in range(1, g.n + 1))
+        view = AdversaryView(eng)
+        assert view.n == g.n
+        assert view.delta_cap == g.delta_cap
+        assert view.edge_count == g.edge_count
+        v = 5
+        assert view.degree(v) == g.degree(v)
+        sizes = _spare_sizes(eng)
+        spares = view._spares
+        spares.refresh()
+        assert spares.weights == [math.comb(k, 2) for k in sizes]
+        assert spares.total == sum(spares.weights)
+        for chi in range(1, g.delta_cap + 2):
+            spare = [
+                u
+                for u in range(1, g.n + 1)
+                if phi[u] == chi and g.degree(u) < g.delta_cap
+            ]
+            assert view.spare_members(chi) == spare
+            assert sizes[chi] == len(spare)
+    assert spares.total > 0
+
+
+@cache
+def _index_instance(delta: int) -> list[tuple[int, int]]:
+    return random_graph(96, delta, 1.0, delta)
+
+
+# Δ + 1 = 64 is a power of two, where the Fenwick descent starts at the
+# last color; Δ + 1 = 65 puts one color past the top step
+@pytest.mark.parametrize("delta", [63, 64])
+@given(data=st.data())
+def test_spare_pair_index_matches_brute_force(delta, data):
+    eng = Engine(
+        96, delta, Config(zeta=3), seed=1, mode="naive",
+        initial_edges=_index_instance(delta),
+    )
+    g = eng.g
+    top = delta + 1
+    colors = st.one_of(
+        st.sampled_from([None, 1, 2, 3, top // 2, top - 1, top]),
+        st.integers(1, top),
+    )
     view = AdversaryView(eng)
-    assert view.n == g.n
-    assert view.delta_cap == g.delta_cap
-    assert view.edge_count == g.edge_count
-    v = 5
-    assert view.degree(v) == g.degree(v)
-    sizes = view.spare_class_sizes()
-    assert len(sizes) == g.delta_cap + 2 and sizes[0] == 0
-    for chi in range(1, g.delta_cap + 2):
-        spare = [
-            u for u in range(1, g.n + 1) if phi[u] == chi and g.degree(u) < g.delta_cap
-        ]
-        assert view.spare_members(chi) == spare
-        assert sizes[chi] == len(spare)
+    for _ in range(data.draw(st.integers(1, 40))):
+        op = data.draw(
+            st.sampled_from(["color", "color", "insert", "delete", "replace", "view"])
+        )
+        if op == "color":
+            eng.state.set_color(data.draw(st.integers(1, g.n)), data.draw(colors))
+        elif op == "insert":
+            spare = [u for u in range(1, g.n + 1) if u not in g.full]
+            free = [
+                (u, w) for u in spare for w in spare if u < w and not g.has_edge(u, w)
+            ]
+            if free:
+                g.insert_edge(*data.draw(st.sampled_from(free)))
+        elif op == "delete":
+            g.delete_edge(*g.edge_at(data.draw(st.integers(0, g.edge_count - 1))))
+        elif op == "replace":
+            old = eng.state
+            eng.state = ColoringState.rebuild(eng.decomp, old.phi, old.matched)
+        else:  # another view takes the watch registration over
+            AdversaryView(eng)._spares.refresh()
+        if not data.draw(st.booleans()):
+            continue
+        spares = view._spares
+        spares.refresh()
+        weights = [math.comb(k, 2) for k in _spare_sizes(eng)]
+        assert spares.weights == weights
+        assert spares.total == sum(weights)
+        if spares.total:
+            cum = list(accumulate(weights))
+            rs = {0, spares.total - 1}
+            rs.update(data.draw(st.lists(st.integers(0, spares.total - 1), max_size=5)))
+            for r in rs:
+                assert spares.find(r) == bisect_right(cum, r)
+
+
+def test_conflict_adversary_views_take_turns_on_one_engine():
+    """Two views alternate, and then a fresh view per step, across phase
+    rebuilds; each re-registers its watch set and matches the reference."""
+    for fresh_views in (False, True):
+        eng, _ = planted_engine(seed=3, zeta=320)
+        views = [AdversaryView(eng), AdversaryView(eng)]
+        rng, ref_rng = random.Random(14), random.Random(14)
+        runs = eng.meter.fresh_runs
+        for step in range(90):
+            view = AdversaryView(eng) if fresh_views else views[step // 3 % 2]
+            expected = _pool_conflict_adversary(eng, ref_rng)
+            assert conflict_adversary(view, rng) == expected
+            assert rng.getstate() == ref_rng.getstate()
+            eng.apply(expected)
+        assert eng.meter.fresh_runs - runs >= 2
 
 
 # ---------------------------------------------------------------------------
