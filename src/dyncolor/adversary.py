@@ -326,8 +326,8 @@ class TraceReader:
     def __init__(self, path: str) -> None:
         self.path = path
         self.lineno = 1
-        with open(path) as f:
-            header = f.readline()
+        with open(path, "rb") as f:
+            header = self._decode(1, f.readline())
         parts = header.split()
         if len(parts) != 2:
             raise ParseError(path, 1, f"bad header {header.strip()!r}")
@@ -338,11 +338,20 @@ class TraceReader:
         if self.n < 1 or self.delta < 1:
             raise ParseError(path, 1, "n and delta must be positive")
 
+    # one line at a time, so that a bad byte is blamed on its own line; a
+    # text-mode reader decodes whole chunks
+    def _decode(self, lineno: int, raw: bytes) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(self.path, lineno, "not UTF-8 text") from None
+
     def __iter__(self) -> Iterator[Update]:
-        with open(self.path) as f:
+        with open(self.path, "rb") as f:
             f.readline()
-            for lineno, line in enumerate(f, start=2):
+            for lineno, raw in enumerate(f, start=2):
                 self.lineno = lineno
+                line = self._decode(lineno, raw)
                 parts = line.split()
                 if not parts:
                     continue

@@ -34,11 +34,13 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_ENGINE = 3
 
-# epsilon = 1/110 needs Delta*eps^2 >= 1 before the dense machinery can
-# engage at all; below that the small-graph fallback 1/8 is used
-EPS_LARGE = Fraction(1, 110)
+# Config's epsilon needs Delta*eps^2 >= 1 before the dense machinery can
+# engage at all; below that Delta the small-graph fallback 1/8 is used
+EPS_LARGE = Config.epsilon
 EPS_SMALL = Fraction(1, 8)
-EPS_DELTA_FLOOR = 110 * 110
+EPS_DELTA_FLOOR = math.ceil(1 / EPS_LARGE**2)
+# an adversary's stream seed is the run seed XOR this salt
+STREAM_SALT = 0x5EED
 
 
 class UsageError(Exception):
@@ -115,29 +117,12 @@ def run_engine(
     updates=None,
     adversary: str | None = None,
     steps: int = 0,
-    initial_edges=None,
-    reset_meter: bool = False,
 ) -> dict:
-    """Drive one engine run and return the metrics document.
-
-    With reset_meter=True the cost of coloring the initial graph is
-    dropped, so amortized figures cover update work only (including the
-    phase-boundary recolorings triggered by the updates themselves).
-    """
+    """Drive one engine run and return the metrics document."""
     t0 = time.perf_counter()
-    eng = Engine(
-        n,
-        delta,
-        cfg,
-        seed=seed,
-        mode=mode,
-        strict=verify != "off",
-        initial_edges=initial_edges,
-    )
-    if reset_meter:
-        eng.meter = CostMeter()
+    eng = Engine(n, delta, cfg, seed=seed, mode=mode, strict=verify != "off")
     if updates is None:
-        updates = adv.adversary_stream(adversary, eng, steps, seed ^ 0x5EED)
+        updates = adv.adversary_stream(adversary, eng, steps, seed ^ STREAM_SALT)
     res = drive(
         eng,
         updates,
@@ -241,7 +226,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def scaling_pair(n: int, steps: int, rep_seed: int) -> dict[str, dict]:
     """One scaling measurement per engine kind, phased then naive: the
-    conflict adversary on one dense instance, generated once for both."""
+    conflict adversary on one dense instance, generated once for both.
+
+    The meter is reset after the initial coloring, so the amortized
+    figures cover update work only, including the phase-boundary
+    recolorings the updates trigger."""
     delta = n // 4
     edges = random_graph(n, delta, 0.8, seed=rep_seed * 7919 + n)
     configs = {
@@ -254,25 +243,18 @@ def scaling_pair(n: int, steps: int, rep_seed: int) -> dict[str, dict]:
     }
     rows = {}
     for kind, cfg in configs.items():
-        doc = run_engine(
-            n=n,
-            delta=delta,
-            cfg=cfg,
-            seed=rep_seed,
-            mode=kind,
-            verify="off",
-            adversary="conflict",
-            steps=steps,
-            initial_edges=edges,
-            reset_meter=True,
-        )
+        eng = Engine(n, delta, cfg, seed=rep_seed, mode=kind, initial_edges=edges)
+        eng.meter = m = CostMeter()
+        applied = drive(
+            eng, adv.adversary_stream("conflict", eng, steps, rep_seed ^ STREAM_SALT)
+        ).applied
         rows[kind] = {
             "n": n,
             "delta": delta,
             "adversary": "conflict",
             "engine": kind,
-            "amortized_ops": doc["amortized_ops"],
-            "amortized_trials": doc["amortized_trials"],
+            "amortized_ops": m.total_ops() / max(1, applied),
+            "amortized_trials": m.color_trials / max(1, applied),
         }
     return rows
 
@@ -371,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=int, default=None)
     r.add_argument("--epsilon", default=None, help="fraction like 1/8 (default: auto)")
     r.add_argument("--zeta", default="auto", help="integer or 'auto' = ceil(n^(2/3))")
-    r.add_argument("--gamma", default="1/16")
+    r.add_argument("--gamma", default=str(Config.gamma))
     r.add_argument("--mode", choices=["auto", "naive", "phased"], default="auto")
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--verify", choices=["off", "phase", "every"], default="off")

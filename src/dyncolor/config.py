@@ -68,6 +68,17 @@ class Config:
         """
         return delta_cap * self.epsilon**2 * DELTA_CONST >= self.zeta
 
+    def acd_floors(self, delta_cap: int) -> tuple[int, int, int]:
+        """The almost-clique rule's integers at this degree cap: the degree
+        floor ceil((1-eps)*cap), the common-neighbor floor
+        ceil((1-2*eps)*cap) and the size cap floor((1+eps)*cap)."""
+        eps = self.epsilon
+        return (
+            math.ceil((1 - eps) * delta_cap),
+            math.ceil((1 - 2 * eps) * delta_cap),
+            math.floor((1 + eps) * delta_cap),
+        )
+
     def dissolve_threshold(self) -> Fraction:
         """Cliques with a_D + e_D at or above this are folded into S."""
         return Fraction(50) * self.zeta / (DELTA_CONST * self.epsilon**2)

@@ -233,22 +233,18 @@ class Decomposition:
 def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     """Almost-clique candidates via neighborhood-similarity clustering.
 
-    Only vertices of degree >= (1-eps)*cap can belong to an almost-clique,
-    which confines the similarity step to the (usually small) high-degree
-    core.  Two adjacent core vertices are friends when they share at
-    least (1-2*eps)*cap neighbors; the friendship components of size
-    >= (1-eps)*cap are the candidates, in order of their smallest vertex,
-    labelled by _friend_components without popcounting every core edge.
-    Candidates are verified against the almost-clique definition;
-    vertices of failed candidates fall back to the sparse pool, which
-    certify_sparse_pool checks.
+    The rule's integers come from Config.acd_floors.  Only vertices of
+    degree >= deg_floor can belong to an almost-clique, which confines
+    the similarity step to the (usually small) high-degree core.  Two
+    adjacent core vertices are friends when they share at least
+    sim_floor neighbors; the friendship components of deg_floor to
+    size_cap members are the candidates, in order of their smallest
+    vertex, labelled by _friend_components without popcounting every
+    core edge.  Candidates are verified against the almost-clique
+    definition; vertices of failed candidates fall back to the sparse
+    pool, which certify_sparse_pool checks.
     """
-    d = g.delta_cap
-    eps = cfg.epsilon
-    deg_floor = math.ceil((1 - eps) * d)
-    sim_floor = math.ceil((1 - 2 * eps) * d)
-    size_cap = math.floor((1 + eps) * d)
-
+    deg_floor, sim_floor, size_cap = cfg.acd_floors(g.delta_cap)
     deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n + 1)
     intra = np.zeros(g.n + 1, dtype=np.int64)
     sparse = set(range(1, g.n + 1))
@@ -404,9 +400,7 @@ def validate_decomposition(
     """Check the partition against the graph; violations are data."""
     out: list[Violation] = []
     cap = g.delta_cap
-    eps = cfg.epsilon
-    deg_floor = math.ceil((1 - eps) * cap)
-    size_cap = math.floor((1 + eps) * cap)
+    deg_floor, _, size_cap = cfg.acd_floors(cap)
     threshold = cfg.dissolve_threshold()
 
     m = all_neighborhood_edge_counts(g)

@@ -73,11 +73,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
             (len(st.sparse_palette(v)) for v in sparse), default=None
         )
         report.max_sparse_class = max(
-            (
-                sum(1 for v in st.classes[chi] if eng.decomp.part[v] is None)
-                for chi in range(1, st.num_colors + 1)
-            ),
-            default=0,
+            map(st.sparse_class_size, range(1, st.num_colors + 1)), default=0
         )
     return report
 

@@ -98,6 +98,10 @@ class ColoringState:
         }
         return set(range(1, self.num_colors + 1)) - used
 
+    def sparse_class_size(self, chi: int) -> int:
+        """Sparser vertices colored chi."""
+        return sum(1 for v in self.classes[chi] if self.decomp.part[v] is None)
+
     def accounting_lower_bound(self, v: int) -> int:
         """Guaranteed (possibly negative) size of L(D) intersect L(v)."""
         ci = self.decomp.part[v]

@@ -7,7 +7,6 @@ execute after every update (or at phase boundaries for large n).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,11 +47,7 @@ def brute_partition(
 def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     """Set-based twin of compute_acd: the same clustering rule, with
     overlaps as set intersections and components found by a plain DFS."""
-    d = g.delta_cap
-    eps = cfg.epsilon
-    deg_floor = math.ceil((1 - eps) * d)
-    sim_floor = math.ceil((1 - 2 * eps) * d)
-    size_cap = math.floor((1 + eps) * d)
+    deg_floor, sim_floor, size_cap = cfg.acd_floors(g.delta_cap)
     core = {v for v in range(1, g.n + 1) if len(g.adj[v]) >= deg_floor}
 
     def friends(v: int) -> list[int]:
@@ -164,10 +159,7 @@ def check_sparse_slack(
 
 
 def check_balance(
-    state: ColoringState,
-    decomp: Decomposition,
-    cfg: Config,
-    phase_elapsed: int,
+    state: ColoringState, cfg: Config, phase_elapsed: int
 ) -> list[Violation]:
     """Mid-phase color-class size bound for the sparse part."""
     out: list[Violation] = []
@@ -178,7 +170,7 @@ def check_balance(
         + Fraction(ceil_log2(n))
     )
     for chi in range(1, state.num_colors + 1):
-        sparse_size = sum(1 for v in state.classes[chi] if decomp.part[v] is None)
+        sparse_size = state.sparse_class_size(chi)
         if sparse_size > cap:
             out.append(Violation("sparse-balance", f"chi={chi}", f"{sparse_size} > {cap}"))
     return out
@@ -213,7 +205,7 @@ def verify_fresh_properties(
     """Slack, balance and matching checks on a completed fresh coloring."""
     return (
         check_sparse_slack(g, decomp, state, cfg)
-        + check_balance(state, decomp, cfg, phase_elapsed=0)
+        + check_balance(state, cfg, phase_elapsed=0)
         + check_dense_balance(decomp, state)
         + check_matching(decomp, state)
     )

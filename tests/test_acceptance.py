@@ -20,7 +20,13 @@ from fractions import Fraction
 import pytest
 
 from dyncolor import adversary as adv
-from dyncolor.cli import fit_slope, main as cli_main, resolve_epsilon, scaling_pair
+from dyncolor.cli import (
+    STREAM_SALT,
+    fit_slope,
+    main as cli_main,
+    resolve_epsilon,
+    scaling_pair,
+)
 from dyncolor.config import Config, auto_zeta
 from dyncolor.decomposition import compute_acd, refine_to_sparser_denser
 from dyncolor.drive import drive
@@ -69,7 +75,7 @@ def _drive(
     """One metered adversary run with periodic full invariant sweeps."""
     eng = Engine(n, delta, cfg, seed=seed, mode=mode, initial_edges=initial_edges)
     stream = adv.adversary_stream(
-        adversary, eng, steps, seed if adversary == "oblivious" else seed ^ 0x5EED
+        adversary, eng, steps, seed if adversary == "oblivious" else seed ^ STREAM_SALT
     )
     res = drive(eng, stream, sweep_every=sweep_every)
     # a phase restart rewrites the whole coloring inside one apply();

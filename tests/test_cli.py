@@ -1,20 +1,26 @@
+import argparse
 import hashlib
+import inspect
 import json
 import math
 
 import pytest
 
 from dyncolor.cli import (
+    EPS_DELTA_FLOOR,
+    EPS_SMALL,
     EXIT_ENGINE,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     main,
     resolve_epsilon,
     resolve_seed,
     resolve_zeta,
+    run_engine,
 )
-from dyncolor.config import auto_zeta
+from dyncolor.config import Config, auto_zeta
 from dyncolor.engine import Engine, InlierPaletteEmpty
 
 
@@ -35,13 +41,52 @@ def test_resolve_seed_precedence(monkeypatch):
 
 
 def test_resolve_epsilon_by_delta():
-    eps, origin = resolve_epsilon(110 * 110, None)
-    assert (eps, origin) == (resolve_epsilon(200000, None)[0], "default-large-delta")
-    eps2, origin2 = resolve_epsilon(100, None)
-    assert origin2 == "fallback-small-delta"
-    assert eps2 > eps
+    # the auto epsilon is Config's from the Delta where Delta*eps^2 >= 1 on
+    assert EPS_DELTA_FLOOR == 12_100
+    large = (Config().epsilon, "default-large-delta")
+    assert resolve_epsilon(EPS_DELTA_FLOOR, None) == resolve_epsilon(200000, None) == large
+    eps2, origin2 = resolve_epsilon(EPS_DELTA_FLOOR - 1, None)
+    assert (eps2, origin2) == (EPS_SMALL, "fallback-small-delta")
+    assert eps2 > Config().epsilon
     eps3, origin3 = resolve_epsilon(100, "1/4")
     assert origin3 == "explicit" and eps3 * 4 == 1
+
+
+def test_auto_mode_thresholds():
+    # Engine's mode=auto runs phased iff Config.dense_path_active(delta);
+    # at zeta=auto and Delta = n-1 that first holds at n = 262,209 with
+    # epsilon 1/8, and needs n > 12,100^3 with the auto epsilon
+    def auto_mode(n, eps_flag):
+        eps, _ = resolve_epsilon(n - 1, eps_flag)
+        cfg = Config(epsilon=eps, zeta=auto_zeta(n))
+        return "phased" if cfg.dense_path_active(n - 1) else "naive"
+
+    assert auto_mode(262_208, "1/8") == "naive"
+    assert auto_mode(262_209, "1/8") == "phased"
+    assert auto_mode(10**9, None) == "naive"
+
+
+def test_knob_census():
+    # every run_engine keyword and every CLI flag has a caller that needs
+    # it; a new knob has to be added here on purpose
+    assert list(inspect.signature(run_engine).parameters) == [
+        "n", "delta", "cfg", "seed", "mode", "verify", "updates", "adversary", "steps",
+    ]
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        cmd: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for cmd, p in sub.choices.items()
+    }
+    assert flags == {
+        "gen": ["--delta", "--density", "--n", "--out", "--seed", "--steps"],
+        "run": [
+            "--adversary", "--delta", "--epsilon", "--gamma", "--mode", "--n", "--out",
+            "--seed", "--steps", "--trace", "--verify", "--zeta",
+        ],
+        "scaling": ["--n-grid", "--out-csv", "--out-json", "--reps", "--seed", "--steps"],
+    }
 
 
 def test_resolve_zeta_auto_matches_formula():
@@ -146,6 +191,20 @@ def test_run_bad_trace_is_usage_error(tmp_path):
     assert main(["run", "--trace", str(p)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [(b"6 3\xff\n+ 1 2\n", 1), (b"6 3\n+ 1 2\n+ 2 \xff3\n", 3)],
+    ids=["header", "update"],
+)
+def test_run_trace_not_utf8_is_trace_error(tmp_path, capsys, body, line):
+    p = tmp_path / "bin.trace"
+    p.write_bytes(body)
+    assert main(["run", "--trace", str(p)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"trace error: {p}:{line}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 RUN_ADV = ["run", "--adversary", "conflict", "--n", "20", "--delta", "4"]
 
 
@@ -207,6 +266,8 @@ def test_run_zeta_auto_recorded(tmp_path):
     main(["run", "--trace", str(trace), "--seed", "0", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["header"]["config"]["zeta"] == math.ceil(50 ** (2 / 3))
+    # the --gamma default is Config's
+    assert doc["header"]["config"]["gamma"] == str(Config().gamma)
 
 
 # metrics of two fixed runs, minus timing and the figures derived from
@@ -270,3 +331,27 @@ def test_scaling_smoke(tmp_path, capsys):
     assert header == "n,delta,adversary,engine,amortized_ops,amortized_trials,slope"
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(printed) == {"slope_phased", "slope_naive"}
+
+
+# sha256 of the JSON and CSV files of two fixed scaling runs, recorded
+# before scaling_pair stopped going through run_engine
+SCALING_DIGESTS = {
+    ("64,128,256", "60", "1", "1"): (
+        "741940430ce9da2f989a34302e2f6b60e7204c4d5c311f083426c95dba455d46",
+        "c3d7cd5b7b49906f32ef48c3e7fe5554036d38b68e3aa9953edb9358207c66a7",
+    ),
+    ("64,128", "40", "2", "3"): (
+        "f73e4d7eea41037aeb54af1eb984686d2e654e6d04f7341b9fcb224bf0ac2f50",
+        "8029e858cc53103e387b97f1a8fd12615df1e75e6f6bb24b11cf5bce247db7bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, steps, reps, seed", sorted(SCALING_DIGESTS))
+def test_scaling_matches_recorded_digest(tmp_path, grid, steps, reps, seed):
+    out_json, out_csv = tmp_path / "sc.json", tmp_path / "sc.csv"
+    argv = ["scaling", "--n-grid", grid, "--steps", steps, "--reps", reps, "--seed", seed,
+            "--out-json", str(out_json), "--out-csv", str(out_csv)]
+    assert main(argv) == EXIT_OK
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out_json, out_csv))
+    assert digests == SCALING_DIGESTS[grid, steps, reps, seed]

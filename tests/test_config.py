@@ -59,6 +59,15 @@ def test_dispatch_threshold():
     assert cfg2.dense_path_active(256)
 
 
+def test_acd_floors():
+    # (ceil((1-eps)*cap), ceil((1-2*eps)*cap), floor((1+eps)*cap)), exact
+    # when the products are integers, rounded inward when they are not
+    assert Config(epsilon="1/8").acd_floors(64) == (56, 48, 72)
+    assert Config(epsilon="1/8").acd_floors(80) == (70, 60, 90)
+    assert Config(epsilon="1/8").acd_floors(20) == (18, 15, 22)
+    assert Config().acd_floors(20) == (20, 20, 20)
+
+
 def test_dissolve_threshold_scales():
     cfg = Config(epsilon=Fraction(1, 8), zeta=2)
     assert cfg.dissolve_threshold() == Fraction(50 * 2 * 64)

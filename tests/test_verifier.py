@@ -132,7 +132,7 @@ def test_invariants_flag_matching_deficit():
 
 def test_balance_clean_right_after_fresh():
     eng, _ = planted_engine(seed=5)
-    assert check_balance(eng.state, eng.decomp, eng.cfg, phase_elapsed=0) == []
+    assert check_balance(eng.state, eng.cfg, phase_elapsed=0) == []
 
 
 def test_balance_flags_overfull_sparse_class():
@@ -140,11 +140,11 @@ def test_balance_flags_overfull_sparse_class():
     eng, _ = planted_engine(seed=5, zeta=320)
     st_ = eng.state
     sparse = [v for v in range(1, eng.g.n + 1) if eng.decomp.part[v] is None]
-    assert check_balance(st_, eng.decomp, eng.cfg, phase_elapsed=0) == []
+    assert check_balance(st_, eng.cfg, phase_elapsed=0) == []
     for v in sparse:
         st_.set_color(v, 1)
     for out in (
-        check_balance(st_, eng.decomp, eng.cfg, phase_elapsed=0),
+        check_balance(st_, eng.cfg, phase_elapsed=0),
         verify_fresh_properties(eng.g, eng.decomp, st_, eng.cfg),
     ):
         flagged = [v for v in out if v.kind == "sparse-balance"]
