@@ -141,14 +141,6 @@ class Clique:
         """Sum of a_v over the members: each anti-edge counts at both ends."""
         return 2 * len(self.anti_edges)
 
-    @property
-    def avg_anti(self) -> Fraction:
-        return Fraction(self.sum_anti, self.size)
-
-    @property
-    def avg_ext(self) -> Fraction:
-        return Fraction(self.sum_ext, self.size)
-
     def matching_target(self) -> int:
         """floor(8 * a_D)."""
         return 8 * self.sum_anti // self.size
@@ -180,9 +172,6 @@ class Decomposition:
         self.part: list[int | None] = [None] * (g.n + 1)
         self.cliques: list[Clique] = []
         self.ext: dict[int, set[int]] = {}
-
-    def e_v(self, v: int) -> int:
-        return len(self.ext[v])
 
     def a_v(self, v: int) -> int:
         """Members of v's clique not adjacent to v: |D| - 1 - deg(v) + e_v."""
@@ -397,7 +386,13 @@ def refine_to_sparser_denser(
 def validate_decomposition(
     d: Decomposition, g: DynamicGraph, cfg: Config
 ) -> list[Violation]:
-    """Check the partition against the graph; violations are data."""
+    """Check the partition against the graph; violations are data.
+
+    The rules a rebuild sets up (sparsity, size cap, intra-degree, the
+    average threshold) may drift within a phase; check_drift covers the
+    facts every update keeps.  The sparsity rule tests zeta-sparsity,
+    which certification guarantees only when delta_cap * eps^2 >= zeta.
+    """
     out: list[Violation] = []
     cap = g.delta_cap
     deg_floor, _, size_cap = cfg.acd_floors(cap)
@@ -414,42 +409,50 @@ def validate_decomposition(
         if c.size > size_cap:
             out.append(Violation("clique-size", loc, f"|D|={c.size} > {size_cap}"))
         for v in sorted(c.members):
-            if d.part[v] != c.index:
-                out.append(Violation("partition", loc, f"part[{v}] != {c.index}"))
             intra = len(g.adj[v] & c.members)
             if intra < deg_floor:
                 out.append(
                     Violation("intra-degree", loc, f"v={v} intra={intra} < {deg_floor}")
                 )
-            if d.ext[v] != g.adj[v] - c.members:
+        avg = Fraction(c.sum_anti + c.sum_ext, c.size)
+        if avg > threshold:
+            out.append(Violation("avg-threshold", loc, f"a_D+e_D={avg} > {threshold}"))
+    return out + check_drift(d)
+
+
+def check_drift(d: Decomposition) -> list[Violation]:
+    """The facts apply_insert/apply_delete keep true after every update:
+    each member's part, E(v) = N(v) - D and a_v, the clique's sums of e_v
+    and a_v, and F_D.  Each member's external and anti sets are computed
+    once, as set differences against the graph."""
+    out: list[Violation] = []
+    adj = d.g.adj
+    for c in d.cliques:
+        loc = f"clique={c.index}"
+        sum_ext = sum_anti = 0
+        true_f = set()
+        for v in sorted(c.members):
+            ext = adj[v] - c.members
+            anti = c.members - adj[v]
+            anti.discard(v)
+            sum_ext += len(ext)
+            sum_anti += len(anti)
+            true_f.update((v, u) for u in anti if v < u)
+            if d.ext.get(v) != ext:
                 out.append(Violation("ext-set", loc, f"E({v}) stale"))
-            true_anti = len(c.members - g.adj[v] - {v})
-            if d.a_v(v) != true_anti:
-                out.append(Violation("anti-set", loc, f"a_{v}={d.a_v(v)} != {true_anti}"))
-        if c.avg_anti + c.avg_ext > threshold:
-            out.append(
-                Violation(
-                    "avg-threshold", loc, f"a_D+e_D={c.avg_anti + c.avg_ext} > {threshold}"
-                )
-            )
-        true_sum_ext = sum(len(g.adj[v] - c.members) for v in c.members)
-        true_sum_anti = sum(
-            c.size - 1 - len(g.adj[v] & c.members) for v in c.members
-        )
-        if c.sum_ext != true_sum_ext or c.sum_anti != true_sum_anti:
+            if d.part[v] != c.index:
+                # a_v reads v's clique through part
+                out.append(Violation("partition", loc, f"part[{v}] != {c.index}"))
+            elif d.a_v(v) != len(anti):
+                out.append(Violation("anti-set", loc, f"a_{v}={d.a_v(v)} != {len(anti)}"))
+        if (c.sum_ext, c.sum_anti) != (sum_ext, sum_anti):
             out.append(
                 Violation(
                     "aggregate",
                     loc,
-                    f"sums ({c.sum_ext},{c.sum_anti}) != ({true_sum_ext},{true_sum_anti})",
+                    f"sums ({c.sum_ext},{c.sum_anti}) != ({sum_ext},{sum_anti})",
                 )
             )
-        true_f = {
-            (u, v)
-            for u in c.members
-            for v in c.members
-            if u < v and v not in g.adj[u]
-        }
         if set(c.anti_edges) != true_f:
             out.append(Violation("anti-edge-set", loc, "F_D out of sync"))
     return out

@@ -247,8 +247,6 @@ class Engine:
             self.naive_recolor(u)
         elif self.decomp.part[u] is None:
             self.recolor_sparse(u)
-        elif self.state.matched[u] is not None:
-            self.recolor_matching(u, self.state.matched[u])
         else:
             self.recolor_dense(u)
 

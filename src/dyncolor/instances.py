@@ -1,7 +1,9 @@
 """Seeded graph families for tests and benchmarks.
 
-All generators return (edge list, delta_cap) with every degree strictly
-respecting the cap, so the edges can be fed straight into the engine.
+Every edge list respects the given degree cap, so it can be fed
+straight into the engine.  random_graph and random_sparse_graph return
+the edges alone, planted_clique_graph and mixed_graph the edges and the
+planted vertex sets, and fuzz_graph the edges and the cap it drew.
 """
 
 from __future__ import annotations

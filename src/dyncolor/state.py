@@ -2,10 +2,11 @@
 
 All views (global classes, per-clique classes, clique palettes, the
 redundant-color sets) are derived from phi and the frozen partition;
-they are updated in lockstep by set_color so a full rebuild always
-matches the incremental state.  Redundant sets are never mutated
-directly: a color enters M_D exactly when its per-clique class reaches
-two holders, which is what makes floor(8*a_D) comparisons testable.
+they are updated in lockstep by set_color, and
+verify.check_view_consistency recomputes them from phi alone.
+Redundant sets are never mutated directly: a color enters M_D exactly
+when its per-clique class reaches two holders, which is what makes
+floor(8*a_D) comparisons testable.
 """
 
 from __future__ import annotations
@@ -118,22 +119,10 @@ class ColoringState:
             + uncolored
         )
 
-    # -- serialization / rebuild -------------------------------------------
+    # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
             "phi": self.phi[1:],
             "matched": self.matched[1:],
         }
-
-    @classmethod
-    def rebuild(
-        cls, decomp: Decomposition, phi: list[int | None], matched: list[int | None]
-    ) -> "ColoringState":
-        """Reconstruct every view from phi alone (oracle for consistency)."""
-        st = cls(decomp)
-        for v in range(1, st.n + 1):
-            if phi[v] is not None:
-                st.set_color(v, phi[v])
-        st.matched = list(matched)
-        return st

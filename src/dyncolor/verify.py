@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import C_BAL, SLACK_COEFF, Config, ceil_log2
-from .decomposition import Decomposition, RawPartition
+from .decomposition import Decomposition, RawPartition, check_drift
 from .graph import DynamicGraph
 from .report import Violation
 from .state import ColoringState
@@ -126,20 +126,31 @@ def check_proper(g: DynamicGraph, state: ColoringState) -> list[Violation]:
 def check_view_consistency(
     decomp: Decomposition, state: ColoringState
 ) -> list[Violation]:
-    """Incremental views must equal a from-scratch rebuild over phi."""
+    """The incremental views must equal the ones recomputed from phi and
+    the frozen partition: the global classes, each clique's holders per
+    color (walking its members), L(D) as the colors without a holder and
+    M_D as the colors with two holders or more, set_color's rule."""
     out: list[Violation] = []
-    rebuilt = ColoringState.rebuild(decomp, state.phi, state.matched)
+    phi = state.phi
+    classes: list[set[int]] = [set() for _ in range(state.num_colors + 1)]
+    for v in range(1, state.n + 1):
+        if phi[v] is not None:
+            classes[phi[v]].add(v)
     for chi in range(1, state.num_colors + 1):
-        if state.classes[chi] != rebuilt.classes[chi]:
+        if state.classes[chi] != classes[chi]:
             out.append(Violation("view-consistency", f"chi={chi}", "class drift"))
     for c in decomp.cliques:
-        ci = c.index
-        if state.clique_classes[ci] != rebuilt.clique_classes[ci]:
-            out.append(Violation("view-consistency", f"clique={ci}", "clique class drift"))
-        if set(state.clique_palette[ci]) != set(rebuilt.clique_palette[ci]):
-            out.append(Violation("view-consistency", f"clique={ci}", "palette drift"))
-        if state.redundant[ci] != rebuilt.redundant[ci]:
-            out.append(Violation("view-consistency", f"clique={ci}", "redundant drift"))
+        loc = f"clique={c.index}"
+        holders: dict[int, set[int]] = {}
+        for v in c.members:
+            if phi[v] is not None:
+                holders.setdefault(phi[v], set()).add(v)
+        if state.clique_classes[c.index] != holders:
+            out.append(Violation("view-consistency", loc, "clique class drift"))
+        if set(state.clique_palette[c.index]) != brute_clique_palette(state, c.members):
+            out.append(Violation("view-consistency", loc, "palette drift"))
+        if state.redundant[c.index] != {chi for chi, h in holders.items() if len(h) >= 2}:
+            out.append(Violation("view-consistency", loc, "redundant drift"))
     return out
 
 
@@ -158,17 +169,11 @@ def check_sparse_slack(
     return out
 
 
-def check_balance(
-    state: ColoringState, cfg: Config, phase_elapsed: int
-) -> list[Violation]:
-    """Mid-phase color-class size bound for the sparse part."""
+def check_balance(state: ColoringState, cfg: Config) -> list[Violation]:
+    """Color-class size bound for the sparse part."""
     out: list[Violation] = []
     n = state.n
-    cap = C_BAL * (
-        Fraction(n, cfg.zeta)
-        + Fraction(phase_elapsed, cfg.zeta)
-        + Fraction(ceil_log2(n))
-    )
+    cap = C_BAL * (Fraction(n, cfg.zeta) + Fraction(ceil_log2(n)))
     for chi in range(1, state.num_colors + 1):
         sparse_size = state.sparse_class_size(chi)
         if sparse_size > cap:
@@ -205,7 +210,7 @@ def verify_fresh_properties(
     """Slack, balance and matching checks on a completed fresh coloring."""
     return (
         check_sparse_slack(g, decomp, state, cfg)
-        + check_balance(state, cfg, phase_elapsed=0)
+        + check_balance(state, cfg)
         + check_dense_balance(decomp, state)
         + check_matching(decomp, state)
     )
@@ -243,6 +248,8 @@ def check_invariants(
     for c in decomp.cliques:
         palette = brute_clique_palette(state, c.members)
         for v in sorted(c.members):
+            if decomp.part[v] != c.index:
+                continue  # the bound needs v's clique; check_drift reports it
             lhs = len(palette & brute_palette(g, state, v))
             bound = state.accounting_lower_bound(v)
             if lhs < bound:
@@ -262,4 +269,5 @@ def check_all(
         check_proper_fast(g, state)
         + check_invariants(g, decomp, state, cfg)
         + check_view_consistency(decomp, state)
+        + check_drift(decomp)
     )

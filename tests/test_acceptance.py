@@ -38,6 +38,7 @@ from dyncolor.verify import (
     brute_clique_palette,
     brute_force_sparsity,
     brute_partition,
+    check_view_consistency,
     verify_fresh_properties,
 )
 
@@ -239,10 +240,7 @@ def test_criterion_3_oracle_equivalence():
                 if not any(u in g.adj[v] and d.part[u] is None for u in st.classes[chi])
             }
 
-        rb = ColoringState.rebuild(d, st.phi, st.matched)
-        assert st.classes == rb.classes
-        assert st.clique_classes == rb.clique_classes
-        assert st.redundant == rb.redundant
+        assert check_view_consistency(d, st) == []
 
         for c in d.cliques:
             assert set(st.clique_palette[c.index]) == brute_clique_palette(

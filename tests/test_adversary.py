@@ -321,8 +321,10 @@ def test_spare_pair_index_matches_brute_force(delta, data):
         elif op == "delete":
             g.delete_edge(*g.edge_at(data.draw(st.integers(0, g.edge_count - 1))))
         elif op == "replace":
-            old = eng.state
-            eng.state = ColoringState.rebuild(eng.decomp, old.phi, old.matched)
+            old, eng.state = eng.state, ColoringState(eng.decomp)
+            for v in range(1, g.n + 1):
+                eng.state.set_color(v, old.phi[v])
+            eng.state.matched = list(old.matched)
         else:  # another view takes the watch registration over
             AdversaryView(eng)._spares.refresh()
         if not data.draw(st.booleans()):

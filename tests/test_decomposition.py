@@ -338,8 +338,8 @@ def test_refine_keeps_tight_clique():
     raw = compute_acd(g, cfg)
     d = refine_to_sparser_denser(raw, g, cfg)
     assert len(d.cliques) == 1
-    assert d.cliques[0].avg_anti == 0
-    assert d.cliques[0].avg_ext == 0
+    assert d.cliques[0].sum_anti == 0
+    assert d.cliques[0].sum_ext == 0
     assert d.sparse_vertices == []
 
 
@@ -381,7 +381,7 @@ def test_refine_retained_cliques_below_threshold():
     d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
     threshold = cfg.dissolve_threshold()
     for c in d.cliques:
-        assert c.avg_anti + c.avg_ext < threshold
+        assert Fraction(c.sum_anti + c.sum_ext, c.size) < threshold
     floor_val = cfg.sparsity_floor() * delta
     for v in d.sparse_vertices:
         assert brute_force_sparsity(g, v) >= floor_val
@@ -399,9 +399,9 @@ def test_exact_aggregates_and_anti_edges():
     c = d.cliques[0]
     # identity deg(v) + 1 = |D| + e_v - a_v for every member
     for v in sorted(c.members):
-        assert g.degree(v) + 1 == c.size + d.e_v(v) - d.a_v(v)
+        assert g.degree(v) + 1 == c.size + len(d.ext[v]) - d.a_v(v)
     # |F_D| = a_D * |D| / 2 exactly
-    assert len(c.anti_edges) == c.avg_anti * c.size / 2
+    assert 2 * len(c.anti_edges) == sum(d.a_v(v) for v in c.members)
     assert validate_decomposition(d, g, cfg) == []
 
 
@@ -445,7 +445,8 @@ def test_inliers_match_direct_comparison_and_markov():
         expect = {
             v
             for v in c.members
-            if d.e_v(v) <= 8 * c.avg_ext and d.a_v(v) <= 8 * c.avg_anti
+            if len(d.ext[v]) * c.size <= 8 * c.sum_ext
+            and d.a_v(v) * c.size <= 8 * c.sum_anti
         }
         inliers = {v for v in c.members if d.is_inlier(v)}
         assert inliers == expect
@@ -569,7 +570,7 @@ def test_member_counts_track_drift_step_by_step(seed):
             assert (c.sum_anti, c.sum_ext) == (sum(anti.values()), sum(ext.values()))
             for w in c.members:
                 assert d.a_v(w) == anti[w]
-                assert d.e_v(w) == ext[w]
+                assert len(d.ext[w]) == ext[w]
                 assert sum(w in pair for pair in c.anti_edges) == anti[w]
                 assert d.is_inlier(w) == c.admits_inlier(ext[w], anti[w])
     # inserts and deletes, each inside a clique and across its boundary

@@ -264,6 +264,79 @@ def test_sparse_recolor_steals_from_unique_denser_holder():
     assert ok and thief_target == w
 
 
+def _script_trials(monkeypatch, eng, colors):
+    """The engine's next trial colors are `colors`; later draws are its own."""
+    draw, queue = eng.rng.randint, list(colors)
+    monkeypatch.setattr(
+        eng.rng, "randint", lambda a, b: queue.pop(0) if queue else draw(a, b)
+    )
+
+
+def test_sparse_recolor_hands_a_stolen_matched_pair_to_recolor_matching(monkeypatch):
+    eng, _ = planted_engine(seed=5)
+    st, g, d = eng.state, eng.g, eng.decomp
+    # sparse v whose only holder of chi among its neighbors is a matched w
+    v, w, chi = next(
+        (v, w, st.phi[w])
+        for v in d.sparse_vertices
+        for w in sorted(g.adj[v])
+        if st.matched[w] is not None and eng.sparse_color_check(v, st.phi[w]) == (True, w)
+    )
+    x, ci = st.matched[w], d.part[w]
+    st.set_color(v, None)
+    # the pair's next color: open to both and held by no other member
+    chi2 = next(
+        k
+        for k in range(1, g.delta_cap + 2)
+        if eng.matching_color_check(w, x, k) and not st.clique_holders(ci, k) - {w, x}
+    )
+    _script_trials(monkeypatch, eng, [chi, chi2])
+    steals = eng.meter.steals
+    eng.recolor_sparse(v)
+    assert st.phi[v] == chi
+    assert st.phi[w] == st.phi[x] == chi2
+    assert st.matched[w] == x and st.matched[x] == w
+    assert eng.meter.steals == steals + 1
+    assert eng.verify_now() == []
+
+
+def test_recolor_matching_recolors_an_existing_pair(monkeypatch):
+    eng, _ = planted_engine(seed=5)
+    st, d = eng.state, eng.decomp
+    u = next(v for v in range(1, eng.g.n + 1) if st.matched[v] is not None)
+    w, ci, old = st.matched[u], d.part[u], st.phi[u]
+    chi = next(
+        k
+        for k in range(1, eng.g.delta_cap + 2)
+        if eng.matching_color_check(u, w, k) and not st.clique_holders(ci, k)
+    )
+    _script_trials(monkeypatch, eng, [chi])
+    eng.recolor_matching(u, w)
+    assert st.phi[u] == st.phi[w] == chi != old
+    assert st.matched[u] == w
+    assert eng.verify_now() == []
+
+
+def test_outlier_takes_a_color_no_member_holds(monkeypatch):
+    # four anti-edges make a_D = 8/78, so every anti-edge end is an outlier
+    eng, _ = planted_engine(seed=5, anti=4)
+    st, d = eng.state, eng.decomp
+    c = d.cliques[0]
+    v = next(u for u in sorted(c.members) if not d.is_inlier(u))
+    st.set_color(v, None)
+    chi = next(
+        k
+        for k in range(1, eng.g.delta_cap + 2)
+        if eng.outlier_color_check(v, k) and not st.clique_holders(c.index, k)
+    )
+    _script_trials(monkeypatch, eng, [chi])
+    steals = eng.meter.steals
+    eng.recolor_dense(v)
+    assert st.phi[v] == chi
+    assert eng.meter.steals == steals
+    assert eng.verify_now() == []
+
+
 def test_phase_restart_on_retry_exhaustion():
     eng, _ = planted_engine(seed=5)
     eng.phase.retry_cap_sparse = 0

@@ -29,7 +29,7 @@ def test_fresh_single_complete_clique_distinct_colors():
     )
     assert len(eng.decomp.cliques) == 1
     c = eng.decomp.cliques[0]
-    assert c.avg_anti == 0
+    assert c.sum_anti == 0
     assert eng.state.matching_size(0) == 0  # no matching calls needed
     colors = [eng.state.phi[v] for v in range(1, n + 1)]
     assert sorted(colors) == list(range(1, n + 1))  # all 21 distinct

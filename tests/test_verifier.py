@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncolor.instances import fuzz_graph
@@ -127,12 +128,59 @@ def test_invariants_flag_matching_deficit():
 
 
 # ---------------------------------------------------------------------------
+# decomposition drift
+
+
+def _corrupt_ext(d, c, v):
+    w = max(c.members - {v})
+    d.ext[v].add(w)
+    return lambda: d.ext[v].discard(w)
+
+
+def _corrupt_sum_ext(d, c, v):
+    c.sum_ext += 1
+    return lambda: setattr(c, "sum_ext", c.sum_ext - 1)
+
+
+def _corrupt_anti_edges(d, c, v):
+    pair = c.anti_edges.sorted()[0]
+    c.anti_edges.discard(pair)
+    return lambda: c.anti_edges.add(pair)
+
+
+def _corrupt_part(d, c, v):
+    d.part[v] = None
+    return lambda: d.part.__setitem__(v, c.index)
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("ext-set", _corrupt_ext),
+        ("aggregate", _corrupt_sum_ext),
+        ("anti-edge-set", _corrupt_anti_edges),
+        ("partition", _corrupt_part),
+    ],
+)
+def test_sweep_flags_each_drift_fact(kind, corrupt):
+    eng, _ = planted_engine(seed=5)
+    d = eng.decomp
+    c = d.cliques[0]
+    v = next(u for u in sorted(c.members) if eng.state.matched[u] is None)
+    assert eng.verify_now() == []
+    restore = corrupt(d, c, v)
+    assert kind in {x.kind for x in eng.verify_now()}
+    restore()
+    assert eng.verify_now() == []
+
+
+# ---------------------------------------------------------------------------
 # balance sweep
 
 
 def test_balance_clean_right_after_fresh():
     eng, _ = planted_engine(seed=5)
-    assert check_balance(eng.state, eng.cfg, phase_elapsed=0) == []
+    assert check_balance(eng.state, eng.cfg) == []
 
 
 def test_balance_flags_overfull_sparse_class():
@@ -140,11 +188,11 @@ def test_balance_flags_overfull_sparse_class():
     eng, _ = planted_engine(seed=5, zeta=320)
     st_ = eng.state
     sparse = [v for v in range(1, eng.g.n + 1) if eng.decomp.part[v] is None]
-    assert check_balance(st_, eng.cfg, phase_elapsed=0) == []
+    assert check_balance(st_, eng.cfg) == []
     for v in sparse:
         st_.set_color(v, 1)
     for out in (
-        check_balance(st_, eng.cfg, phase_elapsed=0),
+        check_balance(st_, eng.cfg),
         verify_fresh_properties(eng.g, eng.decomp, st_, eng.cfg),
     ):
         flagged = [v for v in out if v.kind == "sparse-balance"]
