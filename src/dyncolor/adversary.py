@@ -131,10 +131,6 @@ class AdversaryView:
     def delta_cap(self) -> int:
         return self._engine.g.delta_cap
 
-    @property
-    def edge_count(self) -> int:
-        return self._engine.g.edge_count
-
     def degree(self, v: int) -> int:
         return self._engine.g.degree(v)
 

@@ -3,16 +3,18 @@
 Two regimes: below the dispatch threshold the naive recolorer gives the
 conflicting endpoint the smallest color that no neighbor holds; above
 it, updates run in phases over a frozen sparser-denser partition,
-recoloring through random color trials with color stealing.  All
-availability checks walk color classes (never adjacency lists), and
-every probe is counted by the cost meter; the naive path is metered as
-the one neighborhood scan it models.
+recoloring through random color trials with color stealing.  Each step
+has one home: Engine.trial_color draws and meters every trial color,
+Engine.holders_among is the one metered walk of a color class (never of
+an adjacency list), and Engine._take does every steal.  The naive path
+is metered as the one neighborhood scan it models.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 
 from . import fresh as fresh_mod
@@ -27,6 +29,7 @@ from .decomposition import (
 )
 from .fresh import PhaseRestart
 from .graph import DynamicGraph
+from .sets import SampleSet
 from .state import ColoringState
 
 # fresh colorings tried per phase start before the engine gives up
@@ -178,6 +181,8 @@ class Engine:
     # public surface
 
     def apply(self, update: Update) -> CostReport:
+        if update.op not in ("+", "-"):
+            raise ValueError(f"unknown op {update.op!r}")
         if self.mode == "phased" and self.phase.counter >= self.phase.t:
             self._start_phase()
         before = self.meter.snapshot()
@@ -185,10 +190,8 @@ class Engine:
         try:
             if update.op == "+":
                 self._handle_insert(update.u, update.v)
-            elif update.op == "-":
-                self._handle_delete(update.u, update.v)
             else:
-                raise ValueError(f"unknown op {update.op!r}")
+                self._handle_delete(update.u, update.v)
         except PhaseRestart:
             self.meter.restarts += 1
             restarted = True
@@ -259,9 +262,38 @@ class Engine:
         if self.decomp.part[v] is None:
             self.meter.sparse_recolors += 1
 
-    def _steal(self, w: int) -> None:
-        self.state.set_color(w, None)
-        self.meter.steals += 1
+    def trial_color(self, palette: SampleSet | None = None) -> int:
+        """One trial color, metered as one color trial: uniform in [1, Δ+1],
+        or over palette when given."""
+        self.meter.color_trials += 1
+        if palette is None:
+            return self.rng.randint(1, self.g.delta_cap + 1)
+        return palette.sample(self.rng)
+
+    def holders_among(self, chi: int, nbrs: Container, also: Container = ()) -> Iterator[int]:
+        """The holders of chi that lie in nbrs or in also: one walk of
+        chi's color class, metered as one class scan per member walked."""
+        meter = self.meter
+        for u in self.state.classes[chi]:
+            meter.class_scans += 1
+            if u in nbrs or u in also:
+                yield u
+
+    def _take(self, chi: int, targets: tuple[int, ...], w: int | None) -> None:
+        """Color every target chi.  A holder w of chi has it stolen first
+        and is recolored last, with its partner if it is matched."""
+        st = self.state
+        if w is not None:
+            st.set_color(w, None)
+            self.meter.steals += 1
+        for x in targets:
+            self._color(x, chi)
+        if w is None:
+            return
+        if st.matched[w] is None:
+            self.recolor_dense(w)
+        else:
+            self.recolor_matching(w, st.matched[w])
 
     # ------------------------------------------------------------------
     # naive regime
@@ -291,38 +323,21 @@ class Engine:
         Returns (ok, w) where w is the unique denser neighbor currently
         holding chi, if any.
         """
-        st = self.state
         part = self.decomp.part
-        adj_v = self.g.adj[v]
         w: int | None = None
-        for u in st.classes[chi]:
-            self.meter.class_scans += 1
-            if u in adj_v:
-                if part[u] is None:
-                    return False, None
-                if w is not None:
-                    return False, None
-                w = u
+        for u in self.holders_among(chi, self.g.adj[v]):
+            if part[u] is None or w is not None:
+                return False, None
+            w = u
         return True, w
 
     def recolor_sparse(self, v: int) -> None:
-        st = self.state
         for _ in range(self.phase.retry_cap_sparse):
-            self.meter.color_trials += 1
-            chi = self.rng.randint(1, self.g.delta_cap + 1)
+            chi = self.trial_color()
             ok, w = self.sparse_color_check(v, chi)
-            if not ok:
-                continue
-            if w is not None:
-                self._steal(w)
-                self._color(v, chi)
-                if st.matched[w] is None:
-                    self.recolor_dense(w)
-                else:
-                    self.recolor_matching(w, st.matched[w])
-            else:
-                self._color(v, chi)
-            return
+            if ok:
+                self._take(chi, (v,), w)
+                return
         raise PhaseRestart(f"sparse retry cap at v={v}")
 
     # ------------------------------------------------------------------
@@ -330,15 +345,12 @@ class Engine:
 
     def outlier_color_check(self, v: int, chi: int) -> bool:
         """chi must be non-redundant and unused by non-inlier neighbors."""
-        st = self.state
-        ci = self.decomp.part[v]
-        if chi in st.redundant[ci]:
-            return False
-        adj_v = self.g.adj[v]
         part = self.decomp.part
-        for u in st.classes[chi]:
-            self.meter.class_scans += 1
-            if u in adj_v and not (part[u] == ci and self.decomp.is_inlier(u)):
+        ci = part[v]
+        if chi in self.state.redundant[ci]:
+            return False
+        for u in self.holders_among(chi, self.g.adj[v]):
+            if not (part[u] == ci and self.decomp.is_inlier(u)):
                 return False
         return True
 
@@ -367,38 +379,24 @@ class Engine:
         raise PhaseRestart(f"inlier palette empty at v={v}")
 
     def _recolor_outlier(self, v: int, ci: int) -> None:
-        st = self.state
         for _ in range(self.phase.retry_cap_sparse):
-            self.meter.color_trials += 1
-            chi = self.rng.randint(1, self.g.delta_cap + 1)
-            if not self.outlier_color_check(v, chi):
-                continue
-            inlier_holders = [
-                u for u in st.clique_holders(ci, chi) if self.decomp.is_inlier(u)
-            ]
-            assert len(inlier_holders) <= 1, "redundant colors are filtered out"
-            if inlier_holders:
-                u = inlier_holders[0]
-                self._steal(u)
-                self._color(v, chi)
-                self.recolor_dense(u)
-            else:
-                self._color(v, chi)
-            return
+            chi = self.trial_color()
+            if self.outlier_color_check(v, chi):
+                inlier_holders = [
+                    u for u in self.state.clique_holders(ci, chi) if self.decomp.is_inlier(u)
+                ]
+                assert len(inlier_holders) <= 1, "redundant colors are filtered out"
+                self._take(chi, (v,), inlier_holders[0] if inlier_holders else None)
+                return
         raise PhaseRestart(f"outlier retry cap at v={v}")
 
     def matching_color_check(self, u: int, v: int, chi: int) -> bool:
         """chi must be non-redundant and unused by external neighbors of u, v."""
-        st = self.state
         ci = self.decomp.part[u]
-        if chi in st.redundant[ci]:
+        if chi in self.state.redundant[ci]:
             return False
-        ext_u, ext_v = self.decomp.ext[u], self.decomp.ext[v]
-        for w in st.classes[chi]:
-            self.meter.class_scans += 1
-            if w in ext_u or w in ext_v:
-                return False
-        return True
+        ext = self.decomp.ext
+        return next(self.holders_among(chi, ext[u], ext[v]), None) is None
 
     def recolor_matching(self, u: int, v: int) -> None:
         st = self.state
@@ -409,24 +407,15 @@ class Engine:
         else:
             assert st.matched[u] == v and st.matched[v] == u
         for _ in range(self.phase.retry_cap_matching):
-            self.meter.color_trials += 1
-            chi = self.rng.randint(1, self.g.delta_cap + 1)
-            if not self.matching_color_check(u, v, chi):
-                continue
-            # u or v may still hold a color (re-coloring an existing pair);
-            # re-using it is fine and is not a steal
-            holders = st.clique_holders(ci, chi) - {u, v}
-            if len(holders) == 1:
-                (w,) = holders
-                assert st.matched[w] is None, "matched colors are redundant"
-                self._steal(w)
-                self._color(u, chi)
-                self._color(v, chi)
-                self.recolor_dense(w)
-            else:
-                self._color(u, chi)
-                self._color(v, chi)
-            return
+            chi = self.trial_color()
+            if self.matching_color_check(u, v, chi):
+                # u or v may still hold a color (re-coloring an existing
+                # pair); re-using it is fine and is not a steal
+                holders = st.clique_holders(ci, chi) - {u, v}
+                w = holders.pop() if holders else None
+                assert w is None or st.matched[w] is None, "matched colors are redundant"
+                self._take(chi, (u, v), w)
+                return
         raise PhaseRestart(f"matching retry cap at pair ({u},{v})")
 
     def restore_matching(self, ci: int) -> None:

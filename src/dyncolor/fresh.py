@@ -85,8 +85,7 @@ def one_shot_coloring(eng: "Engine") -> int:
     g = eng.g
     for v in eng.decomp.sparse_vertices:
         if eng.rng.random() < 0.125:
-            eng.meter.color_trials += 1
-            st.set_color(v, eng.rng.randint(1, st.num_colors))
+            st.set_color(v, eng.trial_color())
     conflicted: set[int] = set()
     for chi in range(1, st.num_colors + 1):
         members = list(st.classes[chi])
@@ -104,23 +103,15 @@ def one_shot_coloring(eng: "Engine") -> int:
 
 def color_dense(eng: "Engine", v: int) -> None:
     """Sample from the clique palette until a color unused by N(v) appears."""
-    st = eng.state
     ci = eng.decomp.part[v]
-    palette = st.clique_palette[ci]
+    palette = eng.state.clique_palette[ci]
+    if not len(palette):
+        raise PhaseRestart(f"clique palette exhausted in clique {ci}")
     adj_v = eng.g.adj[v]
-    cap = RETRY_SCALE * max(1, len(palette)) * eng.log_n
+    cap = RETRY_SCALE * len(palette) * eng.log_n
     for _ in range(cap):
-        if not len(palette):
-            raise PhaseRestart(f"clique palette exhausted in clique {ci}")
-        eng.meter.color_trials += 1
-        chi = palette.sample(eng.rng)
-        ok = True
-        for u in st.classes[chi]:
-            eng.meter.class_scans += 1
-            if u in adj_v:
-                ok = False
-                break
-        if ok:
+        chi = eng.trial_color(palette)
+        if next(eng.holders_among(chi, adj_v), None) is None:
             eng._color(v, chi)
             return
     raise PhaseRestart(f"retry cap in clique {ci} while coloring {v}")

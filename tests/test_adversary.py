@@ -265,7 +265,6 @@ def test_view_accessors_match_engine():
         view = AdversaryView(eng)
         assert view.n == g.n
         assert view.delta_cap == g.delta_cap
-        assert view.edge_count == g.edge_count
         v = 5
         assert view.degree(v) == g.degree(v)
         sizes = _spare_sizes(eng)

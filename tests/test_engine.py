@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from dyncolor import engine as engine_mod
 from dyncolor.adversary import adversary_stream
 from dyncolor.config import Config
 from dyncolor.drive import drive
-from dyncolor.engine import Engine, EngineFailure, PhaseRestart, Update
+from dyncolor.engine import Engine, EngineFailure, InlierPaletteEmpty, PhaseRestart, Update
 from dyncolor.instances import mixed_graph
+from dyncolor.sets import SampleSet
 
 from conftest import dense_cfg, planted_engine, random_updates
 
@@ -344,8 +346,84 @@ def test_phase_restart_on_retry_exhaustion():
         v for v in range(1, eng.g.n + 1) if eng.decomp.part[v] is None
     )
     eng.state.set_color(sparse, None)
-    with pytest.raises(PhaseRestart):
+    with pytest.raises(PhaseRestart, match=rf"^sparse retry cap at v={sparse}$"):
         eng.recolor_sparse(sparse)
+
+
+def test_outlier_retry_cap_restarts_the_phase():
+    eng, _ = planted_engine(seed=5, anti=4)
+    d = eng.decomp
+    v = next(u for u in sorted(d.cliques[0].members) if not d.is_inlier(u))
+    eng.state.set_color(v, None)
+    eng.phase.retry_cap_sparse = 0
+    with pytest.raises(PhaseRestart, match=rf"^outlier retry cap at v={v}$"):
+        eng.recolor_dense(v)
+
+
+def test_matching_retry_cap_restarts_the_phase():
+    eng, _ = planted_engine(seed=5)
+    st = eng.state
+    u = next(v for v in range(1, eng.g.n + 1) if st.matched[v] is not None)
+    w = st.matched[u]
+    eng.phase.retry_cap_matching = 0
+    message = re.escape(f"matching retry cap at pair ({u},{w})")
+    with pytest.raises(PhaseRestart, match=f"^{message}$"):
+        eng.recolor_matching(u, w)
+
+
+def _inlier_without_palette(eng):
+    """An uncolored, unmatched inlier whose clique palette is emptied."""
+    st, d = eng.state, eng.decomp
+    v = next(
+        u
+        for u in sorted(d.cliques[0].members)
+        if d.is_inlier(u) and st.matched[u] is None
+    )
+    st.set_color(v, None)
+    st.clique_palette[0] = SampleSet()
+    return v
+
+
+def test_inlier_with_an_empty_palette_raises_in_strict_mode():
+    eng, _ = planted_engine(seed=5, strict=True)
+    v = _inlier_without_palette(eng)
+    with pytest.raises(InlierPaletteEmpty, match=rf"^no palette color for inlier {v}$"):
+        eng.recolor_dense(v)
+
+
+def test_inlier_with_an_empty_palette_restarts_the_phase():
+    eng, _ = planted_engine(seed=5, strict=False)
+    v = _inlier_without_palette(eng)
+    with pytest.raises(PhaseRestart, match=rf"^inlier palette empty at v={v}$"):
+        eng.recolor_dense(v)
+
+
+def test_matching_repair_without_anti_edges_restarts_the_phase():
+    eng, _ = planted_engine(seed=5, anti=0)
+    assert not len(eng.decomp.cliques[0].anti_edges)
+    with pytest.raises(PhaseRestart, match=r"^no anti-edges left in clique 0$"):
+        eng.add_anti_edge_matching(0)
+
+
+def test_anti_edge_retry_cap_restarts_the_phase():
+    eng, _ = planted_engine(seed=5)
+    assert len(eng.decomp.cliques[0].anti_edges)
+    eng.phase.retry_cap_matching = 0
+    with pytest.raises(PhaseRestart, match=r"^anti-edge retry cap in clique 0$"):
+        eng.add_anti_edge_matching(0)
+
+
+def test_unknown_op_at_a_phase_boundary_does_no_work():
+    eng, _ = planted_engine(seed=3, zeta=32)
+    eng.phase.counter = eng.phase.t
+    fresh_runs, phi = eng.meter.fresh_runs, list(eng.state.phi)
+    rng_state = eng.rng.getstate()
+    with pytest.raises(ValueError, match=r"^unknown op '\*'$"):
+        eng.apply(Update("*", 1, 2))
+    assert eng.meter.fresh_runs == fresh_runs
+    assert eng.state.phi == phi
+    assert eng.rng.getstate() == rng_state
+    assert eng.phase.counter == eng.phase.t
 
 
 def test_apply_recolors_the_phase_when_an_update_restarts(monkeypatch):
