@@ -142,12 +142,10 @@ class AdversaryView:
         return sorted(self._engine.state.classes[chi] - self._engine.g.full)
 
     def matched_pairs(self) -> list[tuple[int, int]]:
-        matched = self._engine.state.matched
-        return [
-            (u, matched[u])
-            for u in range(1, self.n + 1)
-            if matched[u] is not None and u < matched[u]
-        ]
+        """Every matched pair as (low, high), in ascending low end."""
+        st = self._engine.state
+        matched = st.matched
+        return [(u, matched[u]) for u in sorted(st.matched_lows)]
 
     def random_edge(self, rng: random.Random) -> tuple[int, int] | None:
         g = self._engine.g

@@ -112,7 +112,7 @@ class Engine:
         initial_edges: list[tuple[int, int]] | None = None,
     ) -> None:
         self.cfg = cfg
-        self.g = DynamicGraph(n, delta_cap)
+        self.g = DynamicGraph.from_edges(n, delta_cap, initial_edges or ())
         self.rng = random.Random(seed)
         # strict mode raises on a broken invariant instead of restarting the
         # phase, and fills the fresh reports' slack and class-size figures
@@ -137,9 +137,6 @@ class Engine:
         self.updates_applied = 0
         self.fresh_reports: list = []
 
-        if initial_edges:
-            for u, v in initial_edges:
-                self.g.insert_edge(u, v)
         if self.mode == "phased":
             self._start_phase()
         else:
@@ -267,7 +264,14 @@ class Engine:
         or over palette when given."""
         self.meter.color_trials += 1
         if palette is None:
-            return self.rng.randint(1, self.g.delta_cap + 1)
+            # rng.randint(1, Δ+1) without its call layers: the same
+            # getrandbits draws, redrawn while out of range
+            colors = self.g.delta_cap + 1
+            k = colors.bit_length()
+            r = self.rng.getrandbits(k)
+            while r >= colors:
+                r = self.rng.getrandbits(k)
+            return r + 1
         return palette.sample(self.rng)
 
     def holders_among(self, chi: int, nbrs: Container, also: Container = ()) -> Iterator[int]:

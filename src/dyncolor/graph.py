@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable
+from itertools import chain, islice
+
+import numpy as np
+
+# entries a bulk load turns into Python objects at a time
+_SLICE = 1 << 14
 
 
 class GraphError(Exception):
@@ -33,6 +40,14 @@ class DynamicGraph:
     map keyed by u*(n+1)+v, so edges can be enumerated and sampled (and
     the whole edge set scanned by the verifier) without touching the
     adjacency structure.  Deletion moves the last slot into the hole.
+
+    from_edges(n, delta_cap, edges) builds the graph that inserting the
+    edges one at a time, in order, would build, down to the iteration
+    order of every set.  An edge list of int pairs that insert_edge would
+    accept is loaded by vectorized passes; any other list (a non-int
+    endpoint, one out of range, a self-loop, a duplicate, a degree over
+    the cap) is replayed through insert_edge, so it raises what the
+    per-edge loop raises, at the same edge.
     """
 
     def __init__(self, n: int, delta_cap: int) -> None:
@@ -49,6 +64,87 @@ class DynamicGraph:
         self._ev = array("i")
         self._pos: dict[int, int] = {}
         self.full: set[int] = set()
+
+    @classmethod
+    def from_edges(
+        cls, n: int, delta_cap: int, edges: Iterable[tuple[int, int]]
+    ) -> DynamicGraph:
+        """The graph that inserting edges one at a time, in order, builds."""
+        g = cls(n, delta_cap)
+        if not isinstance(edges, list):
+            edges = list(edges)
+        if g._bulk_load(edges):
+            return g
+        g = cls(n, delta_cap)
+        for u, v in edges:
+            g.insert_edge(u, v)
+        return g
+
+    def _bulk_load(self, edges: list) -> bool:
+        """Load edges into this empty graph as insert_edge would, in
+        vectorized passes.  False, with the graph left part-built, when
+        insert_edge would refuse one of them or an endpoint is not an int.
+
+        Each temporary array is dropped before the adjacency sets and the
+        position map grow, which keeps the peak memory near the per-edge
+        loop's.
+        """
+        m = len(edges)
+        if not m:
+            return True
+        n, cap = self.n, self.delta_cap
+        try:
+            if set(map(len, edges)) != {2}:
+                return False
+        except TypeError:
+            return False
+        # numpy reads 2.5 as 2 and "3" as 3, so only exact ints pass; the
+        # keys u*(n+1)+v fit in int64 while n < 2**31
+        if n >= 2**31 or set(map(type, chain.from_iterable(edges))) != {int}:
+            return False
+        try:
+            ends = np.fromiter(chain.from_iterable(edges), dtype=np.intc, count=2 * m)
+        except OverflowError:
+            return False
+        if ends.min() < 1 or ends.max() > n:
+            return False
+        u, v = ends[0::2], ends[1::2]
+        if (u == v).any():
+            return False
+        deg = np.bincount(ends, minlength=n + 1)
+        if deg.max() > cap:
+            return False
+        self._eu = array("i", np.minimum(u, v).tobytes())
+        self._ev = array("i", np.maximum(u, v).tobytes())
+        del u, v
+
+        # every end grouped by vertex, each group in edge order
+        by_end = np.argsort(ends, kind="stable")
+        capped = np.flatnonzero(deg == cap)
+        # capped vertices in the order they reach the cap, the order of
+        # their last ends
+        self.full.update(capped[np.argsort(by_end[np.cumsum(deg)[capped] - 1])].tolist())
+        # end j's partner is end j ^ 1
+        by_end ^= 1
+        nbrs = ends[by_end]
+        del ends, by_end
+        # one int object per vertex, shared by every set that holds it
+        ids = np.array(range(n + 1), dtype=object)
+        fill = chain.from_iterable(
+            ids[nbrs[at : at + _SLICE]].tolist() for at in range(0, 2 * m, _SLICE)
+        )
+        for nbr_set, d in zip(self.adj, deg.tolist()):
+            if d:
+                nbr_set.update(islice(fill, d))
+        del nbrs
+
+        keys = np.frombuffer(self._eu, dtype=np.intc).astype(np.int64)
+        keys *= n + 1
+        keys += np.frombuffer(self._ev, dtype=np.intc)
+        for at in range(0, m, _SLICE):
+            self._pos.update(zip(keys[at : at + _SLICE].tolist(), range(at, at + _SLICE)))
+        # a repeated edge is a key already in the map
+        return len(self._pos) == m
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:

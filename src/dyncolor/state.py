@@ -3,7 +3,9 @@
 All views (global classes, per-clique classes, clique palettes, the
 redundant-color sets) are derived from phi and the frozen partition;
 they are updated in lockstep by set_color, and
-verify.check_view_consistency recomputes them from phi alone.
+verify.check_view_consistency recomputes them from phi alone.  The
+index of matched pairs is derived from matched, kept by match and
+unmatch, and recomputed by the same check.
 Redundant sets are never mutated directly: a color enters M_D exactly
 when its per-clique class reaches two holders, which is what makes
 floor(8*a_D) comparisons testable.
@@ -35,6 +37,8 @@ class ColoringState:
         ]
         self.redundant: list[set[int]] = [set() for _ in decomp.cliques]
         self.matched: list[int | None] = [None] * (n + 1)
+        # the lower end of every matched pair, kept by match and unmatch
+        self.matched_lows: set[int] = set()
         # a set registered by one adversary view: set_color adds both the
         # old and the new color of every change to it (None included)
         self.watch: set[int | None] | None = None
@@ -75,12 +79,14 @@ class ColoringState:
         assert self.matched[u] is None and self.matched[v] is None
         self.matched[u] = v
         self.matched[v] = u
+        self.matched_lows.add(min(u, v))
 
     def unmatch(self, u: int) -> None:
         w = self.matched[u]
         if w is not None:
             self.matched[u] = None
             self.matched[w] = None
+            self.matched_lows.discard(min(u, w))
 
     # -- derived queries ----------------------------------------------------
 

@@ -128,8 +128,9 @@ def check_view_consistency(
 ) -> list[Violation]:
     """The incremental views must equal the ones recomputed from phi and
     the frozen partition: the global classes, each clique's holders per
-    color (walking its members), L(D) as the colors without a holder and
-    M_D as the colors with two holders or more, set_color's rule."""
+    color (walking its members), L(D) as the colors without a holder,
+    M_D as the colors with two holders or more, set_color's rule, and the
+    matched-pair index as the lower ends of the pairs in matched."""
     out: list[Violation] = []
     phi = state.phi
     classes: list[set[int]] = [set() for _ in range(state.num_colors + 1)]
@@ -151,6 +152,10 @@ def check_view_consistency(
             out.append(Violation("view-consistency", loc, "palette drift"))
         if state.redundant[c.index] != {chi for chi, h in holders.items() if len(h) >= 2}:
             out.append(Violation("view-consistency", loc, "redundant drift"))
+    matched = state.matched
+    lows = {v for v in range(1, state.n + 1) if matched[v] is not None and v < matched[v]}
+    if state.matched_lows != lows:
+        out.append(Violation("view-consistency", "matched", "pair index drift"))
     return out
 
 

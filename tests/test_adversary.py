@@ -214,6 +214,25 @@ def test_matching_attacker_deletes_inside_clique_without_pairs():
     assert eng.g.has_edge(upd.u, upd.v)
 
 
+def test_matched_pairs_index_matches_a_scan_of_matched():
+    eng, _ = planted_engine(seed=3, zeta=320, strict=True)
+    view, dview = AdversaryView(eng), DecompositionView(eng)
+    rng = random.Random(4)
+    seen = 0
+    for _ in range(200):
+        matched = eng.state.matched
+        scan = [
+            (u, matched[u])
+            for u in range(1, eng.g.n + 1)
+            if matched[u] is not None and u < matched[u]
+        ]
+        assert view.matched_pairs() == scan
+        seen += len(scan)
+        eng.apply(matching_attacker(view, dview, rng))
+    assert seen > 0
+    assert eng.verify_now() == []
+
+
 def test_adaptive_runs_stay_clean():
     eng, _ = planted_engine(seed=3, zeta=320, strict=True)
     view = AdversaryView(eng)

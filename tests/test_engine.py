@@ -226,6 +226,18 @@ def test_matched_pair_conflict_insert_restores_invariant():
 # recoloring internals
 
 
+@pytest.mark.parametrize("colors", [2, 3, 64, 65, 129, 513])
+def test_trial_color_draws_what_randint_draws(colors):
+    eng = Engine(colors, colors - 1, Config(zeta=3), seed=0, mode="naive")
+    eng.rng = random.Random(colors)
+    ref = random.Random(colors)
+    assert [eng.trial_color() for _ in range(20_000)] == [
+        ref.randint(1, colors) for _ in range(20_000)
+    ]
+    assert eng.rng.getstate() == ref.getstate()
+    assert eng.meter.color_trials == 20_000
+
+
 def test_sparse_color_check_rejects_sparser_holder():
     eng, _ = planted_engine(seed=5)
     st, g = eng.state, eng.g
@@ -267,11 +279,17 @@ def test_sparse_recolor_steals_from_unique_denser_holder():
 
 
 def _script_trials(monkeypatch, eng, colors):
-    """The engine's next trial colors are `colors`; later draws are its own."""
-    draw, queue = eng.rng.randint, list(colors)
-    monkeypatch.setattr(
-        eng.rng, "randint", lambda a, b: queue.pop(0) if queue else draw(a, b)
-    )
+    """The engine's next uniform trial colors are `colors`, each metered as
+    one trial and drawing nothing from its rng; later draws are its own."""
+    draw, queue = eng.trial_color, list(colors)
+
+    def scripted(palette=None):
+        if palette is None and queue:
+            eng.meter.color_trials += 1
+            return queue.pop(0)
+        return draw(palette)
+
+    monkeypatch.setattr(eng, "trial_color", scripted)
 
 
 def test_sparse_recolor_hands_a_stolen_matched_pair_to_recolor_matching(monkeypatch):

@@ -127,6 +127,17 @@ def test_invariants_flag_matching_deficit():
     assert any(v.kind == "matching" for v in out)
 
 
+def test_sweep_flags_matched_pair_index_drift():
+    eng, _ = planted_engine(seed=5)
+    lows = eng.state.matched_lows
+    assert lows and eng.verify_now() == []
+    u = min(lows)
+    lows.discard(u)
+    assert [(x.kind, x.location) for x in eng.verify_now()] == [("view-consistency", "matched")]
+    lows.add(u)
+    assert eng.verify_now() == []
+
+
 # ---------------------------------------------------------------------------
 # decomposition drift
 
