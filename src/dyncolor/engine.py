@@ -114,8 +114,8 @@ class Engine:
         self.cfg = cfg
         self.g = DynamicGraph.from_edges(n, delta_cap, initial_edges or ())
         self.rng = random.Random(seed)
-        # strict mode raises on a broken invariant instead of restarting the
-        # phase, and fills the fresh reports' slack and class-size figures
+        # strict mode raises InlierPaletteEmpty on an empty inlier palette
+        # instead of restarting the phase; nothing else reads it
         self.strict = strict
         if mode == "auto":
             mode = "phased" if cfg.dense_path_active(delta_cap) else "naive"
@@ -447,7 +447,6 @@ class Engine:
                 # colors break coincidental two-holder colors;
                 # restore_matching loops until its target is met
                 self.recolor_matching(x, y)
-                if self.strict:
-                    assert st.matched[x] == y
+                assert st.matched[x] == y
                 return
         raise PhaseRestart(f"anti-edge retry cap in clique {ci}")

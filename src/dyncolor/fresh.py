@@ -24,12 +24,12 @@ class PhaseRestart(Exception):
 
 @dataclass
 class FreshReport:
+    """Counts of one fresh coloring; its slack and class sizes are verify.py's."""
+
     trial_count: int
     sparse_trials: int
     one_shot_colored: int
     matching_sizes: list[int]
-    min_sparse_slack: int | None = None
-    max_sparse_class: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -46,8 +46,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
 
     colored = one_shot_coloring(eng)
 
-    sparse = eng.decomp.sparse_vertices
-    uncolored = [v for v in sparse if st.phi[v] is None]
+    uncolored = [v for v in eng.decomp.sparse_vertices if st.phi[v] is None]
     eng.rng.shuffle(uncolored)
     sparse_before = eng.meter.color_trials
     for v in uncolored:
@@ -62,20 +61,12 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
             if st.phi[v] is None:
                 color_dense(eng, v)
 
-    report = FreshReport(
+    return FreshReport(
         trial_count=eng.meter.color_trials - trials_at_start,
         sparse_trials=sparse_trials,
         one_shot_colored=colored,
         matching_sizes=[st.matching_size(c.index) for c in eng.decomp.cliques],
     )
-    if eng.strict:
-        report.min_sparse_slack = min(
-            (len(st.sparse_palette(v)) for v in sparse), default=None
-        )
-        report.max_sparse_class = max(
-            map(st.sparse_class_size, range(1, st.num_colors + 1)), default=0
-        )
-    return report
 
 
 def one_shot_coloring(eng: "Engine") -> int:

@@ -1,4 +1,5 @@
-"""Color assignment plus every indexed view the recolorer samples from.
+"""Color assignment plus every indexed view the recolorer samples from;
+figures recomputed from phi alone (sparse slack, class sizes) live in verify.py.
 
 All views (global classes, per-clique classes, clique palettes, the
 redundant-color sets) are derived from phi and the frozen partition;
@@ -95,19 +96,6 @@ class ColoringState:
 
     def clique_holders(self, ci: int, chi: int) -> set[int]:
         return self.clique_classes[ci].get(chi, set())
-
-    def sparse_palette(self, v: int) -> set[int]:
-        """Colors not used by any sparser neighbor of v."""
-        used = {
-            self.phi[u]
-            for u in self.decomp.g.adj[v]
-            if self.decomp.part[u] is None and self.phi[u] is not None
-        }
-        return set(range(1, self.num_colors + 1)) - used
-
-    def sparse_class_size(self, chi: int) -> int:
-        """Sparser vertices colored chi."""
-        return sum(1 for v in self.classes[chi] if self.decomp.part[v] is None)
 
     def accounting_lower_bound(self, v: int) -> int:
         """Guaranteed (possibly negative) size of L(D) intersect L(v)."""

@@ -2,7 +2,8 @@
 
 Everything here recomputes from the graph and phi alone, never trusting
 the engine's incremental views; the sweeps are what the acceptance runs
-execute after every update (or at phase boundaries for large n).
+execute after every update (or at phase boundaries for large n).  The
+sparse palettes, slacks and class sizes are computed here and nowhere else.
 """
 
 from __future__ import annotations
@@ -89,6 +90,27 @@ def brute_clique_palette(state: ColoringState, members: set[int]) -> set[int]:
     return set(range(1, state.num_colors + 1)) - used
 
 
+def sparse_palette(decomp: Decomposition, state: ColoringState, v: int) -> set[int]:
+    """Colors not used by any sparser neighbor of v."""
+    part, phi = decomp.part, state.phi
+    used = {phi[u] for u in decomp.g.adj[v] if part[u] is None and phi[u] is not None}
+    return set(range(1, state.num_colors + 1)) - used
+
+
+def sparse_slacks(decomp: Decomposition, state: ColoringState) -> dict[int, int]:
+    """Each sparser vertex's slack: the size of its sparse palette."""
+    return {v: len(sparse_palette(decomp, state, v)) for v in decomp.sparse_vertices}
+
+
+def sparse_class_sizes(state: ColoringState) -> list[int]:
+    """The number of sparser vertices holding each color, indexed by color."""
+    sizes = [0] * (state.num_colors + 1)
+    for v in state.decomp.sparse_vertices:
+        if state.phi[v] is not None:
+            sizes[state.phi[v]] += 1
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -160,30 +182,27 @@ def check_view_consistency(
 
 
 def check_sparse_slack(
-    g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
+    decomp: Decomposition, state: ColoringState, cfg: Config
 ) -> list[Violation]:
     """Every sparser vertex keeps SLACK_COEFF*gamma*zeta colors unused by
     its sparser neighbors."""
-    out: list[Violation] = []
     slack_floor = SLACK_COEFF * cfg.gamma * cfg.zeta
-    for v in range(1, g.n + 1):
-        if decomp.part[v] is None:
-            slack = len(state.sparse_palette(v))
-            if slack < slack_floor:
-                out.append(Violation("sparse-slack", f"v={v}", f"{slack} < {slack_floor}"))
-    return out
+    return [
+        Violation("sparse-slack", f"v={v}", f"{slack} < {slack_floor}")
+        for v, slack in sparse_slacks(decomp, state).items()
+        if slack < slack_floor
+    ]
 
 
 def check_balance(state: ColoringState, cfg: Config) -> list[Violation]:
     """Color-class size bound for the sparse part."""
-    out: list[Violation] = []
     n = state.n
     cap = C_BAL * (Fraction(n, cfg.zeta) + Fraction(ceil_log2(n)))
-    for chi in range(1, state.num_colors + 1):
-        sparse_size = state.sparse_class_size(chi)
-        if sparse_size > cap:
-            out.append(Violation("sparse-balance", f"chi={chi}", f"{sparse_size} > {cap}"))
-    return out
+    return [
+        Violation("sparse-balance", f"chi={chi}", f"{size} > {cap}")
+        for chi, size in enumerate(sparse_class_sizes(state))
+        if size > cap
+    ]
 
 
 def check_dense_balance(decomp: Decomposition, state: ColoringState) -> list[Violation]:
@@ -214,7 +233,7 @@ def verify_fresh_properties(
 ) -> list[Violation]:
     """Slack, balance and matching checks on a completed fresh coloring."""
     return (
-        check_sparse_slack(g, decomp, state, cfg)
+        check_sparse_slack(decomp, state, cfg)
         + check_balance(state, cfg)
         + check_dense_balance(decomp, state)
         + check_matching(decomp, state)

@@ -39,6 +39,7 @@ from dyncolor.verify import (
     brute_force_sparsity,
     brute_partition,
     check_view_consistency,
+    sparse_palette,
     verify_fresh_properties,
 )
 
@@ -234,7 +235,7 @@ def test_criterion_3_oracle_equivalence():
         assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
         for v in range(1, n + 1):
             # the palette agrees with the class view the recolorer scans
-            assert st.sparse_palette(v) == {
+            assert sparse_palette(d, st, v) == {
                 chi
                 for chi in range(1, delta + 2)
                 if not any(u in g.adj[v] and d.part[u] is None for u in st.classes[chi])

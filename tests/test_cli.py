@@ -283,7 +283,7 @@ GOLDEN_EXCLUDED = (
     ("amortized_ops",),
 )
 GOLDEN = {
-    "phased-trace": "9a2d1019bbaa4d941f0a7df64cb1e5659874acc5bd21b9ceab5e0f0f713f55d8",
+    "phased-trace": "f929a40c09b95b2236fc888f09f4a46e37027b9b3e430d70691367368b0f4bac",
     "conflict-every": "30b9ca1fbb85f2523d758b63fdcf66ee0cea1409c9be4e9b399568a66e43356e",
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -9,10 +10,12 @@ import pytest
 from dyncolor import engine as engine_mod
 from dyncolor.adversary import adversary_stream
 from dyncolor.config import Config
+from dyncolor.decomposition import validate_decomposition
 from dyncolor.drive import drive
 from dyncolor.engine import Engine, EngineFailure, InlierPaletteEmpty, PhaseRestart, Update
-from dyncolor.instances import mixed_graph
+from dyncolor.instances import mixed_graph, planted_clique_graph
 from dyncolor.sets import SampleSet
+from dyncolor.verify import verify_fresh_properties
 
 from conftest import dense_cfg, planted_engine, random_updates
 
@@ -553,10 +556,64 @@ def test_identical_seeds_identical_runs():
     assert snaps[0] == snaps[1]
 
 
+def test_strict_changes_nothing_but_the_empty_inlier_palette():
+    runs = []
+    for strict in (True, False):
+        eng, _ = planted_engine(seed=5, zeta=320, strict=strict)
+        assert eng.phase.t > 1
+        drive(eng, adversary_stream("matching", eng, 300, 9))
+        assert eng.meter.fresh_runs > 1
+        runs.append((
+            eng.state.phi,
+            eng.state.matched,
+            dataclasses.asdict(eng.meter),
+            [r.to_dict() for r in eng.fresh_reports],
+            eng.rng.getstate(),
+        ))
+    assert runs[0] == runs[1]
+
+
 def test_different_seeds_differ():
     eng1, _ = planted_engine(seed=13, strict=False)
     eng2, _ = planted_engine(seed=14, strict=False)
     assert eng1.snapshot()["phi"] != eng2.snapshot()["phi"]
+
+
+# ---------------------------------------------------------------------------
+# in-regime phased run
+
+
+@pytest.mark.parametrize("adversary", ["conflict", "matching"])
+def test_in_regime_rebuilds_pass_every_decomposition_rule(monkeypatch, adversary):
+    # criterion 1's planted instance at Delta*eps^2 = 5/4 >= zeta = 1, so
+    # certification guarantees the zeta-sparsity validate_decomposition
+    # checks; gamma = 4 makes phases of 4 updates
+    n, delta = 160, 80
+    edges, _ = planted_clique_graph(
+        n, delta, seed=1000, clique_size=78, anti_edges_per_clique=30,
+        noise_avg_deg=6.0, cross_avg_deg=1.5,
+    )
+    cfg = Config(epsilon=Fraction(1, 8), zeta=1, gamma=4)
+    assert cfg.dense_path_active(delta) and cfg.phase_length == 4
+    eng = Engine(n, delta, cfg, seed=7, mode="phased", strict=True, initial_edges=edges)
+
+    def check_rebuild():
+        assert eng.decomp.cliques
+        assert validate_decomposition(eng.decomp, eng.g, cfg) == []
+        assert verify_fresh_properties(eng.g, eng.decomp, eng.state, cfg) == []
+        assert eng.verify_now() == []
+
+    start_phase = eng._start_phase
+
+    def checked_start_phase():
+        start_phase()
+        check_rebuild()
+
+    check_rebuild()
+    monkeypatch.setattr(eng, "_start_phase", checked_start_phase)
+    drive(eng, adversary_stream(adversary, eng, 400, 7))
+    assert eng.meter.fresh_runs == 100
+    assert eng.meter.restarts == 0
 
 
 # ---------------------------------------------------------------------------

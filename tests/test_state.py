@@ -12,6 +12,7 @@ from dyncolor.verify import (
     brute_palette,
     brute_partition,
     check_view_consistency,
+    sparse_palette,
 )
 
 from conftest import build_graph, dense_cfg
@@ -97,12 +98,12 @@ def test_sparse_palette_examples():
     d = Decomposition(g)
     st_ = ColoringState(d)
     # no sparser neighbors -> full palette
-    assert st_.sparse_palette(1) == set(range(1, delta + 2))
+    assert sparse_palette(d, st_, 1) == set(range(1, delta + 2))
     g.insert_edge(1, 2)
     g.insert_edge(1, 3)
     st_.set_color(2, 1)
     st_.set_color(3, 2)
-    assert st_.sparse_palette(1) == {3, 4, 5}
+    assert sparse_palette(d, st_, 1) == {3, 4, 5}
 
 
 def test_matching_pointers():
