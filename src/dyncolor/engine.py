@@ -6,15 +6,17 @@ it, updates run in phases over a frozen sparser-denser partition,
 recoloring through random color trials with color stealing.  Each step
 has one home: Engine.trial_color draws and meters every trial color,
 Engine.holders_among is the one metered walk of a color class (never of
-an adjacency list), and Engine._take does every steal.  The naive path
-is metered as the one neighborhood scan it models.
+an adjacency list), and Engine._take does every steal.  When the class
+misses both sets, holders_among answers from two set-disjointness tests
+instead of a walk, metered like the full walk: one class scan per member.
+The naive path is metered as the one neighborhood scan it models.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Container, Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from . import fresh as fresh_mod
@@ -34,6 +36,10 @@ from .state import ColoringState
 
 # fresh colorings tried per phase start before the engine gives up
 FRESH_RETRIES = 2
+
+# an exhausted iterator, shared: holders_among's answer when a color
+# class misses both sets, so callers may call next() on either answer
+_NO_HOLDERS: Iterator[int] = iter(())
 
 
 class InlierPaletteEmpty(Exception):
@@ -274,11 +280,27 @@ class Engine:
             return r + 1
         return palette.sample(self.rng)
 
-    def holders_among(self, chi: int, nbrs: Container, also: Container = ()) -> Iterator[int]:
+    def holders_among(
+        self, chi: int, nbrs: Collection[int], also: Collection[int] = ()
+    ) -> Iterator[int]:
         """The holders of chi that lie in nbrs or in also: one walk of
-        chi's color class, metered as one class scan per member walked."""
+        chi's color class, metered as one class scan per member walked.
+
+        Most checks find no holder, and then the walk would scan every
+        member; two disjointness tests stand in for it, metered the same.
+        """
+        cls = self.state.classes[chi]
+        if cls.isdisjoint(nbrs) and cls.isdisjoint(also):
+            self.meter.class_scans += len(cls)
+            return _NO_HOLDERS
+        return self._walk_class(cls, nbrs, also)
+
+    def _walk_class(
+        self, cls: set[int], nbrs: Collection[int], also: Collection[int]
+    ) -> Iterator[int]:
+        """holders_among's walk, which stops where its caller stops."""
         meter = self.meter
-        for u in self.state.classes[chi]:
+        for u in cls:
             meter.class_scans += 1
             if u in nbrs or u in also:
                 yield u
@@ -340,7 +362,10 @@ class Engine:
             chi = self.trial_color()
             ok, w = self.sparse_color_check(v, chi)
             if ok:
-                self._take(chi, (v,), w)
+                if w is None:
+                    self._color(v, chi)
+                else:
+                    self._take(chi, (v,), w)
                 return
         raise PhaseRestart(f"sparse retry cap at v={v}")
 

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 from .config import RETRY_SCALE
 
 if TYPE_CHECKING:
+    from .decomposition import Clique, Decomposition
     from .engine import Engine
 
 
@@ -55,9 +56,7 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
 
     for c in eng.decomp.cliques:
         eng.restore_matching(c.index)
-        # outliers first, then inliers, each in id order; the graph holds
-        # still here, so no member's status changes while the loop runs
-        for v in sorted(c.members, key=lambda v: (eng.decomp.is_inlier(v), v)):
+        for v in dense_order(eng.decomp, c):
             if st.phi[v] is None:
                 color_dense(eng, v)
 
@@ -67,6 +66,17 @@ def fresh_coloring(eng: "Engine") -> FreshReport:
         one_shot_colored=colored,
         matching_sizes=[st.matching_size(c.index) for c in eng.decomp.cliques],
     )
+
+
+def dense_order(decomp: "Decomposition", c: "Clique") -> list[int]:
+    """c's members in the order fresh coloring colors them: outliers
+    first, then inliers, each in id order.  The graph holds still during
+    a fresh coloring, so no member's status changes while it runs."""
+    outliers: list[int] = []
+    inliers: list[int] = []
+    for v in sorted(c.members):
+        (inliers if decomp.is_inlier(v) else outliers).append(v)
+    return outliers + inliers
 
 
 def one_shot_coloring(eng: "Engine") -> int:

@@ -19,10 +19,9 @@ class SampleSet:
     __slots__ = ("_items", "_pos")
 
     def __init__(self, items: Iterable = ()) -> None:
-        self._items: list = []
-        self._pos: dict = {}
-        for x in items:
-            self.add(x)
+        # what a loop of add() would build: each item once, at its first position
+        self._items: list = list(dict.fromkeys(items))
+        self._pos: dict = dict(zip(self._items, range(len(self._items))))
 
     def __contains__(self, x: Hashable) -> bool:
         return x in self._pos
@@ -52,9 +51,17 @@ class SampleSet:
 
     def sample(self, rng: Random):
         """Uniform element; raises IndexError on an empty set."""
-        if not self._items:
+        items = self._items
+        n = len(items)
+        if not n:
             raise IndexError("sample from an empty SampleSet")
-        return self._items[rng.randrange(len(self._items))]
+        # rng.randrange(n) without its call layers: the same getrandbits
+        # draws, redrawn while out of range
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return items[r]
 
     def sorted(self) -> list:
         return sorted(self._items)

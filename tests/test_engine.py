@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dyncolor import engine as engine_mod
 from dyncolor.adversary import adversary_stream
@@ -239,6 +241,54 @@ def test_trial_color_draws_what_randint_draws(colors):
     ]
     assert eng.rng.getstate() == ref.getstate()
     assert eng.meter.color_trials == 20_000
+
+
+def _walk_until(holders, stop):
+    """Consume holders as a caller does, leaving once stop(seen) holds."""
+    seen = []
+    for u in holders:
+        seen.append(u)
+        if stop(seen):
+            break
+    return seen
+
+
+def _reference_walk(cls, nbrs, also, stop):
+    """The holders and the member count of a plain walk over cls that
+    leaves once stop(holders so far) holds."""
+    holders, scans = [], 0
+    for u in cls:
+        scans += 1
+        if u in nbrs or u in also:
+            holders.append(u)
+            if stop(holders):
+                break
+    return holders, scans
+
+
+_vertex_sets = hst.sets(hst.integers(1, 30), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vertex_sets, _vertex_sets, hst.one_of(hst.just(()), _vertex_sets), _vertex_sets)
+def test_holders_among_matches_a_plain_class_walk(cls, nbrs, also, sparser):
+    eng = Engine(30, 29, Config(zeta=3), seed=0, mode="naive")
+    chi = 5
+    eng.state.classes[chi] = cls
+    full = _reference_walk(cls, nbrs, also, lambda h: False)[0]
+    # the disjoint case answers without a generator; next() works on both
+    assert inspect.isgenerator(eng.holders_among(chi, nbrs, also)) == bool(full)
+    assert next(eng.holders_among(chi, nbrs, also), None) == (full[0] if full else None)
+
+    stops = (
+        lambda h: False,  # a walk to the end, as outlier_color_check's can be
+        lambda h: True,  # color_dense and matching_color_check: the first holder
+        lambda h: h[-1] in sparser or len(h) == 2,  # sparse_color_check
+    )
+    for stop in stops:
+        before = eng.meter.class_scans
+        seen = _walk_until(eng.holders_among(chi, nbrs, also), stop)
+        assert (seen, eng.meter.class_scans - before) == _reference_walk(cls, nbrs, also, stop)
 
 
 def test_sparse_color_check_rejects_sparser_holder():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from dyncolor import fresh
 from dyncolor.config import Config
 from dyncolor.engine import Engine, EngineFailure, PhaseRestart
-from dyncolor.fresh import color_dense, one_shot_coloring
+from dyncolor.fresh import color_dense, dense_order, one_shot_coloring
 from dyncolor.instances import mixed_graph
 from dyncolor.verify import brute_clique_palette, brute_palette, verify_fresh_properties
 
@@ -152,3 +153,32 @@ def test_fresh_detects_corrupted_dense_balance():
         for v in verify_fresh_properties(eng.g, eng.decomp, st, eng.cfg)
     }
     assert "dense-balance" in kinds
+
+
+@pytest.mark.parametrize("build", ["planted", "mixed"])
+def test_dense_order_is_outliers_then_inliers_by_id(monkeypatch, build):
+    if build == "planted":
+        eng, _ = planted_engine(seed=5)
+    else:
+        n, delta = 500, 64
+        edges, _ = mixed_graph(n, delta, seed=5)
+        eng = Engine(
+            n, delta, Config(epsilon=Fraction(1, 8), zeta=4), seed=3,
+            mode="phased", initial_edges=edges,
+        )
+    d = eng.decomp
+    assert d.cliques
+    expected = [sorted(c.members, key=lambda v: (d.is_inlier(v), v)) for c in d.cliques]
+    assert [dense_order(d, c) for c in d.cliques] == expected
+    if build == "mixed":  # a planted clique's members are all inliers
+        assert {d.is_inlier(v) for c in d.cliques for v in c.members} == {False, True}
+
+    # a fresh coloring colors each clique's members in that order
+    colored = []
+    monkeypatch.setattr(
+        fresh, "color_dense", lambda eng, v: (colored.append(v), color_dense(eng, v))
+    )
+    eng._start_phase()
+    assert colored
+    done = set(colored)
+    assert colored == [v for members in expected for v in members if v in done]

@@ -37,7 +37,10 @@ def test_color_trials_are_counted_only_by_trial_color():
 
 
 def test_class_scans_are_counted_only_by_the_three_walks():
+    # holders_among's disjoint answer returns no generator, so its walk,
+    # a generator, is a method of its own
     assert sorted(_increment_sites("class_scans")) == [
+        "engine._walk_class",
         "engine.holders_among",
         "engine.naive_recolor",
         "fresh.one_shot_coloring",
