@@ -8,10 +8,12 @@ deg(v) + 1 = |D| + e_v - a_v rather than stored.  Aggregates are exact
 integers, and every floor/threshold comparison is made in integer or
 rational arithmetic, never in floating point.
 
-The rebuild reads degrees off the adjacency sets once and packs the
-neighborhoods of the high-degree core into uint64 bit rows built from
-the graph's flat edge arrays, so common-neighbor counts are exact
-popcounts.  The friendship components of the core come from a spanning
+The rebuild reads degrees off the adjacency sets once, copies the
+graph's flat edge arrays once as int32, and maps both ends of every edge
+to their core rows in one gather.  That gather feeds both the uint64 bit
+rows of the core's neighborhoods, written straight into their packed
+words, so common-neighbor counts are exact popcounts, and the list of
+core edges.  The friendship components of the core come from a spanning
 forest: each core vertex is tested against its smallest core neighbor,
 then only the core edges between the components found so far are
 tested, so most edges inside a component are never popcounted.
@@ -38,6 +40,11 @@ class DecompositionFailed(Exception):
     pass
 
 
+# the one external set of every clique member with no external neighbor,
+# so a rebuild allocates none; apply_insert gives a member its own set
+NO_EXT: frozenset[int] = frozenset()
+
+
 # ---------------------------------------------------------------------------
 # sparsity
 
@@ -54,60 +61,52 @@ def all_neighborhood_edge_counts(g: DynamicGraph) -> np.ndarray:
     G[N(v)] twice.
     """
     eu, ev = _edge_endpoints(g)
-    rows = np.arange(-1, g.n, dtype=np.int64)  # vertex v owns row v-1
-    bits = _bit_rows(rows, g.n, eu, ev)
-    tri = _row_overlaps(bits, eu - 1, ev - 1)
-    twice_m = np.bincount(eu - 1, tri, g.n) + np.bincount(ev - 1, tri, g.n)
+    rows = np.arange(-1, g.n, dtype=np.intp)  # vertex v owns row v-1
+    ru, rv = np.take(rows, eu), np.take(rows, ev)
+    bits = _bit_rows(((ru, ev), (rv, eu)), g.n, g.n)
+    tri = _row_overlaps(bits, ru, rv)
+    twice_m = np.bincount(ru, tri, g.n) + np.bincount(rv, tri, g.n)
     return twice_m.astype(np.int64) // 2
 
 
 # ---------------------------------------------------------------------------
 # vectorised counts over the flat edge arrays
 
-# bytes per temporary array in the bit-row kernels: the unpacked rows of
-# _bit_rows and the ANDed row pairs of _row_overlaps are cut into chunks
-# of this size, so a rebuild's peak memory stays flat in n and the
-# temporaries stay in cache
+# bytes per temporary array of ANDed row pairs in _row_overlaps, which
+# cuts its pairs into chunks of this size, so a rebuild's peak memory
+# stays flat in n and the temporaries stay in cache
 _CHUNK_BYTES = 1 << 18
 
 
 def _edge_endpoints(g: DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the edge arrays (u < v per slot).
+    """int32 copies of the edge arrays (u < v per slot).  A view would hold
+    a buffer export on the graph's arrays, which then refuse to grow, for
+    as long as it lived, e.g. in a traceback."""
+    return np.array(g._eu, dtype=np.int32), np.array(g._ev, dtype=np.int32)
 
-    A view would hold a buffer export on the graph's arrays, which then
-    refuse to grow, for as long as it lived, e.g. in a traceback.
+
+def _bit_rows(ends: tuple, n: int, k: int) -> np.ndarray:
+    """Packed neighborhoods of k row vertices, one uint64 row each.
+
+    ends is ((ru, ev), (rv, eu)): the int32 edge arrays and the rows of
+    their ends, rows[eu] and rows[ev], gathered once by the caller, -1
+    for an end without a row.  Each end with a row gets the other end's
+    bit.  Columns are the vertices adjacent to some row vertex, in id
+    order; popcounts of ANDed rows are common-neighbor counts.  A slot
+    holds each edge once, so no bit is set twice, and adding the bits
+    into their words ors them without an unpacked temporary.
     """
-    return (
-        np.frombuffer(g._eu, dtype=np.int32).astype(np.int64),
-        np.frombuffer(g._ev, dtype=np.int32).astype(np.int64),
-    )
-
-
-def _bit_rows(rows: np.ndarray, n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Packed neighborhoods, one uint64 row per vertex v with rows[v] >= 0.
-
-    Columns are the vertices adjacent to some row vertex, in id order;
-    popcounts of ANDed rows are common-neighbor counts.
-    """
-    k = int(rows.max()) + 1
-    r = np.concatenate((rows[eu], rows[ev]))
-    dst = np.concatenate((ev, eu))
-    keep = r >= 0
-    r, dst = r[keep], dst[keep]
-    col = np.zeros(n + 1, dtype=np.int64)
-    col[dst] = 1
+    ends = [(r[keep], dst[keep]) for r, dst in ends for keep in (r >= 0,)]
+    col = np.zeros(n + 1, dtype=np.intp)
+    for _, dst in ends:
+        col[dst] = 1
     np.cumsum(col, out=col)
     width = max(64, -(-int(col[-1]) // 64) * 64)
-    step = max(1, _CHUNK_BYTES // width)
-    # flat bit index of each entry, and the chunk of rows it falls in
-    pos = r * width + col[dst] - 1
-    chunk = r // step
-    out = np.empty(k * width // 8, dtype=np.uint8)
-    for c, lo in enumerate(range(0, k * width, step * width)):
-        block = np.zeros(min(step * width, k * width - lo), dtype=bool)
-        block[pos[chunk == c] - lo] = True
-        out[lo // 8 : (lo + len(block)) // 8] = np.packbits(block, bitorder="little")
-    return out.view(np.uint64).reshape(k, -1)
+    out = np.zeros(k * width // 64, dtype=np.uint64)
+    for r, dst in ends:
+        pos = r * width + np.take(col, dst) - 1
+        np.add.at(out, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64))
+    return out.reshape(k, -1)
 
 
 def _row_overlaps(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ class Clique:
 
     def admits_inlier(self, e_v: int, a_v: int) -> bool:
         """e_v <= 8*e_D and a_v <= 8*a_D, compared in integers."""
-        size = self.size
+        size = len(self.members)
         return e_v * size <= 8 * self.sum_ext and a_v * size <= 8 * self.sum_anti
 
 
@@ -171,12 +170,12 @@ class Decomposition:
         self.g = g
         self.part: list[int | None] = [None] * (g.n + 1)
         self.cliques: list[Clique] = []
-        self.ext: dict[int, set[int]] = {}
+        self.ext: dict[int, set[int] | frozenset[int]] = {}
 
     def a_v(self, v: int) -> int:
         """Members of v's clique not adjacent to v: |D| - 1 - deg(v) + e_v."""
         c = self.cliques[self.part[v]]
-        return c.size - 1 - len(self.g.adj[v]) + len(self.ext[v])
+        return len(c.members) - 1 - len(self.g.adj[v]) + len(self.ext[v])
 
     def is_inlier(self, v: int) -> bool:
         """Inlier test against the current (drifted) averages."""
@@ -195,12 +194,12 @@ class Decomposition:
             # an anti-edge inside the clique disappears
             self.cliques[iu].anti_edges.discard((u, v) if u < v else (v, u))
         else:
-            if iu is not None:
-                self.ext[u].add(v)
-                self.cliques[iu].sum_ext += 1
-            if iv is not None:
-                self.ext[v].add(u)
-                self.cliques[iv].sum_ext += 1
+            for a, b, i in ((u, v, iu), (v, u, iv)):
+                if i is not None:
+                    if self.ext[a] is NO_EXT:
+                        self.ext[a] = set()  # a's first external neighbor
+                    self.ext[a].add(b)
+                    self.cliques[i].sum_ext += 1
 
     def apply_delete(self, u: int, v: int) -> None:
         iu, iv = self.part[u], self.part[v]
@@ -242,10 +241,10 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     if len(core):
         k = len(core)
         eu, ev = _edge_endpoints(g)
-        rows = np.full(g.n + 1, -1, dtype=np.int64)
+        rows = np.full(g.n + 1, -1, dtype=np.intp)
         rows[core] = np.arange(k)
-        bits = _bit_rows(rows, g.n, eu, ev)
-        ru, rv = rows[eu], rows[ev]
+        ru, rv = np.take(rows, eu), np.take(rows, ev)
+        bits = _bit_rows(((ru, ev), (rv, eu)), g.n, k)
         inside = (ru >= 0) & (rv >= 0)
         ru, rv = ru[inside], rv[inside]
         label = _friend_components(bits, ru, rv, sim_floor)
@@ -370,7 +369,7 @@ def refine_to_sparser_denser(
             d.part[v] = i
             # the same set expressions as a from-scratch scan, for the
             # same iteration order; most members have neither kind
-            d.ext[v] = g.adj[v] - cand if e_v else set()
+            d.ext[v] = g.adj[v] - cand if e_v else NO_EXT
             if a_v:
                 for u in cand - g.adj[v] - {v}:
                     if v < u:

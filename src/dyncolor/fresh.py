@@ -74,8 +74,10 @@ def dense_order(decomp: "Decomposition", c: "Clique") -> list[int]:
     a fresh coloring, so no member's status changes while it runs."""
     outliers: list[int] = []
     inliers: list[int] = []
+    ext, a_v = decomp.ext, decomp.a_v
     for v in sorted(c.members):
-        (inliers if decomp.is_inlier(v) else outliers).append(v)
+        # decomp.is_inlier(v), with v's clique already known
+        (inliers if c.admits_inlier(len(ext[v]), a_v(v)) else outliers).append(v)
     return outliers + inliers
 
 

@@ -18,6 +18,10 @@ from .decomposition import Decomposition
 from .sets import SampleSet
 
 
+# what clique_holders answers for a color no member holds; no caller mutates it
+NO_HOLDERS: frozenset[int] = frozenset()
+
+
 class ColorOutOfRange(Exception):
     pass
 
@@ -69,8 +73,9 @@ class ColoringState:
         if chi is not None:
             self.classes[chi].add(v)
             if ci is not None:
-                holders = self.clique_classes[ci].setdefault(chi, set())
-                if not holders:
+                holders = self.clique_classes[ci].get(chi)
+                if holders is None:
+                    holders = self.clique_classes[ci][chi] = set()
                     self.clique_palette[ci].discard(chi)
                 holders.add(v)
                 if len(holders) == 2:
@@ -94,8 +99,8 @@ class ColoringState:
     def matching_size(self, ci: int) -> int:
         return len(self.redundant[ci])
 
-    def clique_holders(self, ci: int, chi: int) -> set[int]:
-        return self.clique_classes[ci].get(chi, set())
+    def clique_holders(self, ci: int, chi: int) -> set[int] | frozenset[int]:
+        return self.clique_classes[ci].get(chi, NO_HOLDERS)
 
     def accounting_lower_bound(self, v: int) -> int:
         """Guaranteed (possibly negative) size of L(D) intersect L(v)."""

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from dyncolor import config as config_mod, decomposition as decomposition_mod
 from dyncolor.config import Config
 from dyncolor.decomposition import (
+    NO_EXT,
     Decomposition,
     DecompositionFailed,
     all_neighborhood_edge_counts,
     certify_sparse_pool,
+    check_drift,
     compute_acd,
     refine_to_sparser_denser,
     validate_decomposition,
@@ -225,11 +227,22 @@ def _oracle_instance(kind: str, seed: int) -> tuple[int, int, list[tuple[int, in
     st.sampled_from(["random", "mixed", "planted", "fuzz"]),
     st.integers(0, 10_000),
     st.sampled_from([Fraction(1, 7), Fraction(1, 8), Fraction(1, 12)]),
+    st.booleans(),
 )
 @settings(max_examples=60)
-def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps):
+def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps, permuted):
     n, cap, edges = _oracle_instance(kind, seed)
     g = build_graph(n, cap, edges)
+    if permuted:
+        # a delete moves the last slot into the hole and an insert appends,
+        # so the kernels read the same edges in another slot order
+        rng = random.Random(seed)
+        stream = rng.sample(edges, len(edges) // 2)
+        for u, v in stream:
+            g.delete_edge(u, v)
+        for u, v in rng.sample(stream, len(stream)):
+            g.insert_edge(u, v)
+        assert sorted(g.edges()) == sorted((min(e), max(e)) for e in edges)
     cfg = Config(epsilon=eps, zeta=1)
     raw = compute_acd(g, cfg)
     brute = brute_acd(g, cfg)
@@ -489,11 +502,12 @@ def test_validator_flags_injected_corruptions():
     d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
     c = d.cliques[0]
     v = min(c.members)
-    # corrupt E(v)
-    d.ext[v].add(max(c.members))
+    # corrupt E(v): rebind it, since v may hold the shared NO_EXT
+    ext = d.ext[v]
+    d.ext[v] = ext | {max(c.members)}
     kinds = {x.kind for x in validate_decomposition(d, g, cfg)}
     assert "ext-set" in kinds
-    d.ext[v].discard(max(c.members))
+    d.ext[v] = ext
     # corrupt the aggregate
     c.sum_ext += 1
     kinds = {x.kind for x in validate_decomposition(d, g, cfg)}
@@ -532,6 +546,47 @@ def test_drift_matches_recomputation():
         for x in viols
         if x.kind in ("ext-set", "anti-set", "aggregate", "anti-edge-set")
     ]
+
+
+def test_members_without_external_neighbors_share_one_empty_set():
+    # two planted cliques with cross edges, so some members have external
+    # neighbors and some have none
+    n, cap = 90, 24
+    edges, _ = planted_clique_graph(
+        n, cap, seed=14, num_cliques=2, clique_size=25, anti_edges_per_clique=10,
+        noise_avg_deg=3.0, cross_avg_deg=1.5,
+    )
+    g = build_graph(n, cap, edges)
+    cfg = dense_cfg()
+    d = refine_to_sparser_denser(compute_acd(g, cfg), g, cfg)
+    members = sorted(v for c in d.cliques for v in c.members)
+    bare = [v for v in members if g.adj[v] <= d.cliques[d.part[v]].members]
+    linked = [v for v in members if v not in bare]
+    assert bare and linked
+    assert isinstance(NO_EXT, frozenset) and not NO_EXT
+    assert all(d.ext[v] is NO_EXT for v in bare)
+    assert len({id(d.ext[v]) for v in linked}) == len(linked)
+    # an external insert gives that member its own set and no other
+    v = next(v for v in bare if g.degree(v) < cap)
+    w = next(w for w in d.sparse_vertices if g.degree(w) < cap)
+    g.insert_edge(v, w)
+    d.apply_insert(v, w)
+    assert type(d.ext[v]) is set and d.ext[v] == {w}
+    assert all(d.ext[u] is NO_EXT for u in bare if u != v)
+    assert check_drift(d) == []
+    rng = random.Random(14)
+    for _ in range(300):
+        u = rng.choice(members)
+        x = rng.randint(1, n)
+        if u == x:
+            continue
+        if g.has_edge(u, x):
+            g.delete_edge(u, x)
+            d.apply_delete(u, x)
+        elif g.degree(u) < cap and g.degree(x) < cap:
+            g.insert_edge(u, x)
+            d.apply_insert(u, x)
+        assert check_drift(d) == []
 
 
 @pytest.mark.parametrize("seed", [14, 15, 17])

@@ -3,7 +3,7 @@
 A name counts as used when it appears as an identifier, as the root of an
 attribute chain, or inside a quoted annotation such as "Engine".
 Package __init__ modules re-export and are skipped, as are __future__
-imports.
+imports.  No library module imports gc at all.
 """
 
 import ast
@@ -50,3 +50,16 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_library_never_imports_gc():
+    # a saving must come from allocating less: gc.disable() or gc.freeze()
+    # in library code would change the caller's whole process
+    for path in sorted((ROOT / "src" / "dyncolor").rglob("*.py")):
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+        assert "gc" not in modules, f"{path.name} imports gc"

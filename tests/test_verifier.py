@@ -143,9 +143,10 @@ def test_sweep_flags_matched_pair_index_drift():
 
 
 def _corrupt_ext(d, c, v):
-    w = max(c.members - {v})
-    d.ext[v].add(w)
-    return lambda: d.ext[v].discard(w)
+    # rebinds E(v), since v may hold the shared decomposition.NO_EXT
+    ext = d.ext[v]
+    d.ext[v] = ext | {max(c.members - {v})}
+    return lambda: d.ext.__setitem__(v, ext)
 
 
 def _corrupt_sum_ext(d, c, v):
