@@ -13,7 +13,7 @@ import random
 from typing import Iterable, Iterator
 
 from .engine import Engine, Update
-from .graph import DynamicGraph
+from .graph import VERTEX_LIMIT, DynamicGraph
 from .state import ColoringState
 
 
@@ -329,6 +329,8 @@ class TraceReader:
             raise ParseError(path, 1, f"bad header {header.strip()!r}") from None
         if self.n < 1 or self.delta < 1:
             raise ParseError(path, 1, "n and delta must be positive")
+        if self.n >= VERTEX_LIMIT:
+            raise ParseError(path, 1, f"n must be below 2**31, got {self.n}")
 
     # one line at a time, so that a bad byte is blamed on its own line; a
     # text-mode reader decodes whole chunks

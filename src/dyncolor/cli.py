@@ -24,7 +24,7 @@ from . import adversary as adv
 from .config import Config, auto_zeta
 from .drive import drive
 from .engine import CostMeter, Engine, EngineFailure, InlierPaletteEmpty
-from .graph import GraphError
+from .graph import VERTEX_LIMIT, GraphError
 from .instances import random_graph
 from .report import summarize
 
@@ -185,6 +185,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.n is None or args.delta is None:
             raise UsageError("need --n and --delta with --adversary")
         n, delta = args.n, args.delta
+        if n >= VERTEX_LIMIT:
+            raise UsageError(f"n must be below 2**31, got {n}")
         updates, adversary = None, args.adversary
     if delta < 1 or delta > n - 1:
         raise UsageError("need 1 <= delta <= n-1")

@@ -10,6 +10,8 @@ import numpy as np
 
 # entries a bulk load turns into Python objects at a time
 _SLICE = 1 << 14
+# vertex ids must fit the array("i") edge arrays, so n < 2**31
+VERTEX_LIMIT = 2**31
 
 
 class GraphError(Exception):
@@ -51,8 +53,8 @@ class DynamicGraph:
     """
 
     def __init__(self, n: int, delta_cap: int) -> None:
-        if n < 1:
-            raise ValueError("n must be positive")
+        if not 1 <= n < VERTEX_LIMIT:
+            raise ValueError(f"n must be in [1, 2**31), got {n}")
         if delta_cap < 1 or delta_cap > n - 1:
             raise ValueError("delta_cap must be in [1, n-1]")
         self.n = n
@@ -98,9 +100,8 @@ class DynamicGraph:
                 return False
         except TypeError:
             return False
-        # numpy reads 2.5 as 2 and "3" as 3, so only exact ints pass; the
-        # keys u*(n+1)+v fit in int64 while n < 2**31
-        if n >= 2**31 or set(map(type, chain.from_iterable(edges))) != {int}:
+        # numpy reads 2.5 as 2 and "3" as 3, so only exact ints pass
+        if set(map(type, chain.from_iterable(edges))) != {int}:
             return False
         try:
             ends = np.fromiter(chain.from_iterable(edges), dtype=np.intc, count=2 * m)
@@ -138,6 +139,7 @@ class DynamicGraph:
                 nbr_set.update(islice(fill, d))
         del nbrs
 
+        # the keys u*(n+1)+v fit in int64 because n < VERTEX_LIMIT
         keys = np.frombuffer(self._eu, dtype=np.intc).astype(np.int64)
         keys *= n + 1
         keys += np.frombuffer(self._ev, dtype=np.intc)

@@ -411,6 +411,11 @@ def test_trace_bad_header(tmp_path):
     p2.write_text("0 3\n")
     with pytest.raises(ParseError):
         TraceReader(str(p2))
+    p3 = tmp_path / "hdr3.trace"
+    p3.write_text("3000000000 4\n")
+    with pytest.raises(ParseError) as exc:
+        TraceReader(str(p3))
+    assert exc.value.lineno == 1
 
 
 def test_trace_non_integer_vertex(tmp_path):

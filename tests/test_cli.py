@@ -247,6 +247,26 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, trace, argv, code):
         assert "bad.trace:3: " in err
 
 
+@pytest.mark.parametrize(
+    "header, argv",
+    [
+        ("3000000000 4\n", ["run", "--trace", "big.trace"]),
+        (None, ["run", "--adversary", "conflict", "--n", str(2**31), "--delta", "4"]),
+        (None, ["gen", "--n", str(2**31), "--delta", "4", "--steps", "5", "--out", "x.trace"]),
+    ],
+    ids=["trace-header", "run-n", "gen-n"],
+)
+def test_vertex_ids_past_int32_are_refused(tmp_path, capsys, monkeypatch, header, argv):
+    monkeypatch.chdir(tmp_path)
+    if header is not None:
+        (tmp_path / "big.trace").write_text(header)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "2**31" in err and "Traceback" not in err
+    if header is not None:
+        assert "big.trace:1: " in err
+
+
 def test_run_adaptive_adversary_smoke(tmp_path):
     out = tmp_path / "adv.json"
     code = main(

@@ -95,6 +95,8 @@ def test_bad_construction():
         DynamicGraph(0, 1)
     with pytest.raises(ValueError):
         DynamicGraph(5, 5)
+    with pytest.raises(ValueError):  # past the int32 edge arrays
+        DynamicGraph(2**31, 5)
 
 
 def test_flat_edge_arrays_track_edge_list():

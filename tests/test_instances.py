@@ -62,6 +62,9 @@ PINNED = [
      "d408113dc5d9232a5690b12529ec7ed1a81b60174079559f5ba78e05eff16216"),
     (lambda: fuzz_graph(40, 4)[0],
      "4bd7ca501161b4f1fe76b98611c0344d8418937ad876f4023834d849aab0bb9b"),
+    # the naive-conflict benchmark instance
+    (lambda: random_graph(2048, 512, 0.8, 1),
+     "da7fc63f25eec9676e164123dd5275d1204af47e3dd51557f3f9b9dffa33400a"),
 ]
 
 # sha256 of repr(edge list), recorded before planted_clique_graph's two
@@ -104,6 +107,12 @@ def _grid():
             for density in (0.01, 0.5, 1.0):
                 if n <= 65 or cap == 1 or density < 1.0:
                     yield n, cap, density
+    # random_graph decides a batch of draws at a time.  Caps above 1 that
+    # bind past n = 65: (300, 40) and (500, 20) end at the miss limit in
+    # their fourth batch, and (3000, 40) meets its target in its second,
+    # where the cap refuses candidates.  (1025, 200) meets its target in
+    # its fourth batch.
+    yield from ((300, 40, 1.0), (500, 20, 1.0), (3000, 40, 0.95), (1025, 200, 0.9))
 
 
 @pytest.mark.parametrize("n, cap, density", list(_grid()))
