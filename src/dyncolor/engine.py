@@ -5,18 +5,17 @@ conflicting endpoint the smallest color that no neighbor holds; above
 it, updates run in phases over a frozen sparser-denser partition,
 recoloring through random color trials with color stealing.  Each step
 has one home: Engine.trial_color draws and meters every trial color,
-Engine.holders_among is the one metered walk of a color class (never of
-an adjacency list), and Engine._take does every steal.  When the class
-misses both sets, holders_among answers from two set-disjointness tests
-instead of a walk, metered like the full walk: one class scan per member.
-The naive path is metered as the one neighborhood scan it models.
+Engine.holders_among answers every availability check of the random
+paths, and Engine._take does every steal.  An availability check is
+metered as the paper charges it, one scan of the whole color class,
+although CPython's set intersection iterates the smaller of its two
+sets.  The naive path is metered as the one neighborhood scan it models.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from . import fresh as fresh_mod
@@ -37,10 +36,6 @@ from .state import ColoringState
 # fresh colorings tried per phase start before the engine gives up
 FRESH_RETRIES = 2
 
-# an exhausted iterator, shared: holders_among's answer when a color
-# class misses both sets, so callers may call next() on either answer
-_NO_HOLDERS: Iterator[int] = iter(())
-
 
 class InlierPaletteEmpty(Exception):
     """The deterministic inlier search found no color; invariants were broken."""
@@ -52,6 +47,22 @@ class EngineFailure(Exception):
 
 @dataclass
 class CostMeter:
+    """Op counts, each a closed form of what its step models, not of
+    the order CPython iterates in.
+
+    color_trials     one per trial_color draw
+    class_scans      |class| per holders_among check, deg(v) per naive
+                     recolor, C(k, 2) per one-shot class of k members
+    palette_probes   chi per naive recolor onto chi, one per external
+                     neighbor or palette color the inlier search reads,
+                     one per anti-edge drawn
+    recolorings      one per _color; sparse_recolors, those of sparser v
+    fresh_cost       the total_ops of phase starts, retries included;
+                     fresh_runs, the phase starts
+    restarts         updates in which a retry cap restarted the phase
+    steals           one per holder that _take strips
+    """
+
     color_trials: int = 0
     class_scans: int = 0
     palette_probes: int = 0
@@ -281,29 +292,19 @@ class Engine:
         return palette.sample(self.rng)
 
     def holders_among(
-        self, chi: int, nbrs: Collection[int], also: Collection[int] = ()
-    ) -> Iterator[int]:
-        """The holders of chi that lie in nbrs or in also: one walk of
-        chi's color class, metered as one class scan per member walked.
-
-        Most checks find no holder, and then the walk would scan every
-        member; two disjointness tests stand in for it, metered the same.
-        """
+        self,
+        chi: int,
+        nbrs: set[int] | frozenset[int],
+        also: set[int] | frozenset[int] = frozenset(),
+    ) -> set[int]:
+        """The holders of chi that lie in nbrs or in also, as C-level set
+        intersections.  Metered as the modelled scan of chi's whole class,
+        one class scan per member, whichever set CPython iterates."""
         cls = self.state.classes[chi]
-        if cls.isdisjoint(nbrs) and cls.isdisjoint(also):
-            self.meter.class_scans += len(cls)
-            return _NO_HOLDERS
-        return self._walk_class(cls, nbrs, also)
-
-    def _walk_class(
-        self, cls: set[int], nbrs: Collection[int], also: Collection[int]
-    ) -> Iterator[int]:
-        """holders_among's walk, which stops where its caller stops."""
-        meter = self.meter
-        for u in cls:
-            meter.class_scans += 1
-            if u in nbrs or u in also:
-                yield u
+        self.meter.class_scans += len(cls)
+        held = cls & nbrs
+        held |= cls & also
+        return held
 
     def _take(self, chi: int, targets: tuple[int, ...], w: int | None) -> None:
         """Color every target chi.  A holder w of chi has it stolen first
@@ -349,13 +350,14 @@ class Engine:
         Returns (ok, w) where w is the unique denser neighbor currently
         holding chi, if any.
         """
-        part = self.decomp.part
-        w: int | None = None
-        for u in self.holders_among(chi, self.g.adj[v]):
-            if part[u] is None or w is not None:
-                return False, None
-            w = u
-        return True, w
+        held = self.holders_among(chi, self.g.adj[v])
+        if not held:
+            return True, None
+        if len(held) == 1:
+            (w,) = held
+            if self.decomp.part[w] is not None:
+                return True, w
+        return False, None
 
     def recolor_sparse(self, v: int) -> None:
         for _ in range(self.phase.retry_cap_sparse):
@@ -378,10 +380,8 @@ class Engine:
         ci = part[v]
         if chi in self.state.redundant[ci]:
             return False
-        for u in self.holders_among(chi, self.g.adj[v]):
-            if not (part[u] == ci and self.decomp.is_inlier(u)):
-                return False
-        return True
+        held = self.holders_among(chi, self.g.adj[v])
+        return all(part[u] == ci and self.decomp.is_inlier(u) for u in held)
 
     def recolor_dense(self, v: int) -> None:
         ci = self.decomp.part[v]
@@ -425,7 +425,7 @@ class Engine:
         if chi in self.state.redundant[ci]:
             return False
         ext = self.decomp.ext
-        return next(self.holders_among(chi, ext[u], ext[v]), None) is None
+        return not self.holders_among(chi, ext[u], ext[v])
 
     def recolor_matching(self, u: int, v: int) -> None:
         st = self.state

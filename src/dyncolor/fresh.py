@@ -91,14 +91,11 @@ def one_shot_coloring(eng: "Engine") -> int:
             st.set_color(v, eng.trial_color())
     conflicted: set[int] = set()
     for chi in range(1, st.num_colors + 1):
-        members = list(st.classes[chi])
-        for i, u in enumerate(members):
-            adj_u = g.adj[u]
-            for v in members[i + 1 :]:
-                eng.meter.class_scans += 1
-                if v in adj_u:
-                    conflicted.add(u)
-                    conflicted.add(v)
+        members = st.classes[chi]
+        k = len(members)
+        # metered as the pairwise pass it models: one scan per pair
+        eng.meter.class_scans += k * (k - 1) // 2
+        conflicted.update(u for u in members if not g.adj[u].isdisjoint(members))
     for v in sorted(conflicted):
         st.set_color(v, None)
     return sum(len(st.classes[chi]) for chi in range(1, st.num_colors + 1))
@@ -114,7 +111,7 @@ def color_dense(eng: "Engine", v: int) -> None:
     cap = RETRY_SCALE * len(palette) * eng.log_n
     for _ in range(cap):
         chi = eng.trial_color(palette)
-        if next(eng.holders_among(chi, adj_v), None) is None:
+        if not eng.holders_among(chi, adj_v):
             eng._color(v, chi)
             return
     raise PhaseRestart(f"retry cap in clique {ci} while coloring {v}")

@@ -290,21 +290,13 @@ def test_run_zeta_auto_recorded(tmp_path):
     assert doc["header"]["config"]["gamma"] == str(Config().gamma)
 
 
-# metrics of two fixed runs, minus timing and the figures derived from
-# class_scans, hashed: the early exits of the availability checks depend on
-# the order a color class is walked in, which is not part of the contract;
-# every other figure, the final coloring included, is
-GOLDEN_EXCLUDED = (
-    ("timing",),
-    ("meter", "class_scans"),
-    ("meter", "total_ops"),
-    ("meter", "fresh_cost"),
-    ("per_update", "class_scans"),
-    ("amortized_ops",),
-)
+# metrics of two fixed runs, minus timing, hashed: every other figure,
+# class_scans and the figures derived from it included, is part of the
+# contract, since every availability check meters its whole color class
+GOLDEN_EXCLUDED = (("timing",),)
 GOLDEN = {
-    "phased-trace": "f929a40c09b95b2236fc888f09f4a46e37027b9b3e430d70691367368b0f4bac",
-    "conflict-every": "30b9ca1fbb85f2523d758b63fdcf66ee0cea1409c9be4e9b399568a66e43356e",
+    "phased-trace": "82811cbb0513c7cf263310e293b1b5ca13f147439d71244f32af0cb454cb5eb9",
+    "conflict-every": "a9ba4fbde4c325ad8f9568f89f218dd9008af71f5974be48e7c98347d5a0c6d9",
 }
 
 
@@ -353,16 +345,15 @@ def test_scaling_smoke(tmp_path, capsys):
     assert set(printed) == {"slope_phased", "slope_naive"}
 
 
-# sha256 of the JSON and CSV files of two fixed scaling runs, recorded
-# before scaling_pair stopped going through run_engine
+# sha256 of the JSON and CSV files of two fixed scaling runs
 SCALING_DIGESTS = {
     ("64,128,256", "60", "1", "1"): (
-        "741940430ce9da2f989a34302e2f6b60e7204c4d5c311f083426c95dba455d46",
-        "c3d7cd5b7b49906f32ef48c3e7fe5554036d38b68e3aa9953edb9358207c66a7",
+        "6bf1b6bd186b535fef5e3ed0e16e5e8d6dd447f7b9a57ee6c5e922a083181d43",
+        "be08b9080a50aa02c11985c2a293ed38fe43af3a8549ebff16743504a2e74e53",
     ),
     ("64,128", "40", "2", "3"): (
-        "f73e4d7eea41037aeb54af1eb984686d2e654e6d04f7341b9fcb224bf0ac2f50",
-        "8029e858cc53103e387b97f1a8fd12615df1e75e6f6bb24b11cf5bce247db7bd",
+        "ff9093ec9422334f127beb3612f9c3add80ef555806b12c7bb3d767772f62b7d",
+        "b32f98703624f749d85b3afc2d4aafd3159b5f8406e2de1687f3169b558221fd",
     ),
 }
 

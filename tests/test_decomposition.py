@@ -513,6 +513,19 @@ def test_validator_flags_injected_corruptions():
     kinds = {x.kind for x in validate_decomposition(d, g, cfg)}
     assert "aggregate" in kinds
     c.sum_ext -= 1
+    # grow the clique past its size cap with two outside vertices
+    extra = set(sorted(set(range(1, 51)) - c.members)[:2])
+    assert c.size + 2 > cfg.acd_floors(20)[2]
+    c.members |= extra
+    kinds = {x.kind for x in validate_decomposition(d, g, cfg)}
+    assert "clique-size" in kinds
+    c.members -= extra
+    # push a_D + e_D past the dissolve threshold
+    bump = int(cfg.dissolve_threshold() * c.size) + 1
+    c.sum_ext += bump
+    kinds = {x.kind for x in validate_decomposition(d, g, cfg)}
+    assert "avg-threshold" in kinds
+    c.sum_ext -= bump
     assert validate_decomposition(d, g, cfg) == []
 
 

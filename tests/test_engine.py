@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import inspect
 import json
 import random
 import re
@@ -243,52 +242,121 @@ def test_trial_color_draws_what_randint_draws(colors):
     assert eng.meter.color_trials == 20_000
 
 
-def _walk_until(holders, stop):
-    """Consume holders as a caller does, leaving once stop(seen) holds."""
-    seen = []
-    for u in holders:
-        seen.append(u)
-        if stop(seen):
-            break
-    return seen
-
-
-def _reference_walk(cls, nbrs, also, stop):
-    """The holders and the member count of a plain walk over cls that
-    leaves once stop(holders so far) holds."""
-    holders, scans = [], 0
-    for u in cls:
-        scans += 1
-        if u in nbrs or u in also:
-            holders.append(u)
-            if stop(holders):
-                break
-    return holders, scans
-
-
 _vertex_sets = hst.sets(hst.integers(1, 30), max_size=20)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_vertex_sets, _vertex_sets, hst.one_of(hst.just(()), _vertex_sets), _vertex_sets)
-def test_holders_among_matches_a_plain_class_walk(cls, nbrs, also, sparser):
+@given(_vertex_sets, _vertex_sets, hst.one_of(hst.none(), _vertex_sets))
+def test_holders_among_is_the_holder_set_metered_as_its_class(cls, nbrs, also):
     eng = Engine(30, 29, Config(zeta=3), seed=0, mode="naive")
     chi = 5
-    eng.state.classes[chi] = cls
-    full = _reference_walk(cls, nbrs, also, lambda h: False)[0]
-    # the disjoint case answers without a generator; next() works on both
-    assert inspect.isgenerator(eng.holders_among(chi, nbrs, also)) == bool(full)
-    assert next(eng.holders_among(chi, nbrs, also), None) == (full[0] if full else None)
+    eng.state.classes[chi] = set(cls)
+    args = (nbrs,) if also is None else (nbrs, also)
+    held = eng.holders_among(chi, *args)
+    assert held == {u for u in cls if u in nbrs or u in (also or ())}
+    assert eng.meter.class_scans == len(cls)
+    # the answer is a set of its own: the class is left as it was
+    held.add(0)
+    assert eng.state.classes[chi] == cls
 
-    stops = (
-        lambda h: False,  # a walk to the end, as outlier_color_check's can be
-        lambda h: True,  # color_dense and matching_color_check: the first holder
-        lambda h: h[-1] in sparser or len(h) == 2,  # sparse_color_check
+
+def _two_cliques_joined_by_an_outlier():
+    """A phased engine over two planted cliques, in which the ends of the
+    two anti-edges are outliers, plus one edge from an outlier x of the
+    first clique to a member y of the second, applied to the frozen
+    partition."""
+    edges, _ = planted_clique_graph(
+        200, 60, seed=1, num_cliques=2, clique_size=58, anti_edges_per_clique=2,
+        noise_avg_deg=6.0, cross_avg_deg=1.5,
     )
-    for stop in stops:
-        before = eng.meter.class_scans
-        seen = _walk_until(eng.holders_among(chi, nbrs, also), stop)
-        assert (seen, eng.meter.class_scans - before) == _reference_walk(cls, nbrs, also, stop)
+    eng = Engine(200, 60, dense_cfg(), seed=1, mode="phased", initial_edges=edges)
+    g, d = eng.g, eng.decomp
+    first, second = d.cliques
+    x = next(u for u in sorted(first.members) if not d.is_inlier(u) and g.degree(u) < 60)
+    y = next(u for u in sorted(second.members) if g.degree(u) < 60)
+    g.insert_edge(x, y)
+    d.apply_insert(x, y)
+    assert not d.is_inlier(x)
+    return eng, x, y
+
+
+# the three checks as plain walks over a class in a given order, each
+# leaving at the first holder that decides
+
+
+def _sparse_walk(eng, v, order):
+    w = None
+    for u in order:
+        if u in eng.g.adj[v]:
+            if eng.decomp.part[u] is None or w is not None:
+                return False, None
+            w = u
+    return True, w
+
+
+def _outlier_walk(eng, v, chi, order):
+    d = eng.decomp
+    if chi in eng.state.redundant[d.part[v]]:
+        return False
+    for u in order:
+        if u in eng.g.adj[v] and not (d.part[u] == d.part[v] and d.is_inlier(u)):
+            return False
+    return True
+
+
+def _matching_walk(eng, u, v, chi, order):
+    ext = eng.decomp.ext
+    if chi in eng.state.redundant[eng.decomp.part[u]]:
+        return False
+    return not any(x in ext[u] or x in ext[v] for x in order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_checks_decide_as_plain_class_walks_in_either_order(data):
+    eng, _, _ = _two_cliques_joined_by_an_outlier()
+    g, d = eng.g, eng.decomp
+    chi = data.draw(hst.integers(1, g.delta_cap + 1))
+    sparse = data.draw(hst.sampled_from(sorted(d.sparse_vertices)))
+    dense = data.draw(hst.sampled_from([v for c in d.cliques for v in sorted(c.members)]))
+    members = sorted(d.cliques[data.draw(hst.integers(0, 1))].members)
+    u, v = data.draw(hst.lists(hst.sampled_from(members), min_size=2, max_size=2, unique=True))
+    # a class drawn partly from the sets the checks look in, so that each
+    # check meets holders of every kind
+    near = sorted(g.adj[sparse] | g.adj[dense] | d.ext[u] | d.ext[v])
+    cls = data.draw(hst.sets(hst.integers(1, g.n), max_size=8))
+    cls |= data.draw(hst.sets(hst.sampled_from(near), max_size=4))
+    eng.state.classes[chi] = cls
+    for order in (sorted(cls), sorted(cls, reverse=True)):
+        assert eng.sparse_color_check(sparse, chi) == _sparse_walk(eng, sparse, order)
+        assert eng.outlier_color_check(dense, chi) == _outlier_walk(eng, dense, chi, order)
+        assert eng.matching_color_check(u, v, chi) == _matching_walk(eng, u, v, chi, order)
+
+
+def test_outlier_color_check_refuses_every_holder_but_same_clique_inliers():
+    eng, x, y = _two_cliques_joined_by_an_outlier()
+    g, d, st = eng.g, eng.decomp, eng.state
+    ci = d.part[x]
+    chi = next(k for k in range(1, g.delta_cap + 2) if k not in st.redundant[ci])
+    inliers = sorted(u for u in g.adj[x] if d.part[u] == ci and d.is_inlier(u))
+    z = inliers[0]
+    v, s = next(
+        (v, s) for v in sorted(d.cliques[ci].members) for s in sorted(g.adj[v])
+        if d.part[s] is None
+    )
+    cases = [
+        (v, {s}, False),  # a sparser neighbor
+        (z, {x}, False),  # an outlier of z's own clique
+        (x, {y}, False),  # a member of another clique
+        (x, set(inliers[:2]), True),  # inliers of x's own clique only
+    ]
+    for w, holders, ok in cases:
+        st.classes[chi] = holders
+        assert eng.outlier_color_check(w, chi) is ok, (w, holders)
+    # a redundant color is refused before any holder is looked at
+    st.classes[chi] = set()
+    st.redundant[ci].add(chi)
+    assert eng.outlier_color_check(x, chi) is False
 
 
 def test_sparse_color_check_rejects_sparser_holder():

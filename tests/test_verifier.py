@@ -138,6 +138,52 @@ def test_sweep_flags_matched_pair_index_drift():
     assert eng.verify_now() == []
 
 
+def _drift_class(st, c, v):
+    chi = st.phi[v]
+    st.classes[chi].discard(v)
+    return lambda: st.classes[chi].add(v)
+
+
+def _drift_clique_class(st, c, v):
+    holders = st.clique_classes[c.index][st.phi[v]]
+    holders.discard(v)
+    return lambda: holders.add(v)
+
+
+def _drift_palette(st, c, v):
+    chi = st.clique_palette[c.index].sorted()[0]
+    st.clique_palette[c.index].discard(chi)
+    return lambda: st.clique_palette[c.index].add(chi)
+
+
+def _drift_redundant(st, c, v):
+    # a color no member holds
+    chi = st.clique_palette[c.index].sorted()[0]
+    st.redundant[c.index].add(chi)
+    return lambda: st.redundant[c.index].discard(chi)
+
+
+@pytest.mark.parametrize(
+    "details, corrupt",
+    [
+        ("class drift", _drift_class),
+        ("clique class drift", _drift_clique_class),
+        ("palette drift", _drift_palette),
+        ("redundant drift", _drift_redundant),
+    ],
+)
+def test_sweep_flags_each_view_drift(details, corrupt):
+    eng, _ = planted_engine(seed=5)
+    st = eng.state
+    c = eng.decomp.cliques[0]
+    v = next(u for u in sorted(c.members) if st.matched[u] is None)
+    assert eng.verify_now() == []
+    restore = corrupt(st, c, v)
+    assert ("view-consistency", details) in {(x.kind, x.details) for x in eng.verify_now()}
+    restore()
+    assert eng.verify_now() == []
+
+
 # ---------------------------------------------------------------------------
 # decomposition drift
 
