@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 
 from .engine import Engine, Update
 from .graph import VERTEX_LIMIT, DynamicGraph
-from .state import ColoringState
 
 
 class ParseError(Exception):
@@ -28,18 +27,20 @@ class _SparePairs:
     """Fenwick tree over colors 1..Δ+1 of the pair weights C(k, 2), where
     k counts the color's holders below the degree cap.
 
-    refresh() brings it up to date with the engine: from scratch, in
-    O(Δ + |full|), when the coloring does not carry this index's watch set
-    (a new coloring carries none; another view may have registered its
-    own); otherwise only the colors that set_color touched and the colors
-    of the vertices that entered or left g.full since the last refresh.
+    refresh() brings it up to date with the engine through one loop of
+    point updates: the colors that set_color touched and the colors of the
+    vertices that entered or left g.full since the last refresh.  When the
+    coloring does not carry this index's watch set (a new coloring carries
+    none; another view may have registered its own), the index restarts
+    from zeros with every color 1..Δ+1 dirty, so the same loop indexes the
+    new coloring in O(Δ log Δ).
     """
 
     __slots__ = ("eng", "watch", "full", "weights", "total", "tree")
 
     def __init__(self, eng: Engine) -> None:
         self.eng = eng
-        # no coloring carries this set, so the first refresh rebuilds
+        # no coloring carries this set, so the first refresh starts over
         self.watch: set[int | None] = set()
         self.full: set[int] = set()
         self.weights: list[int] = []
@@ -49,8 +50,11 @@ class _SparePairs:
     def refresh(self) -> None:
         st, g = self.eng.state, self.eng.g
         if st.watch is not self.watch:
-            self._rebuild(st, g.full)
-            return
+            colors = g.delta_cap + 2
+            self.watch = st.watch = set(range(1, colors))
+            self.weights = [0] * colors
+            self.total = 0
+            self.tree = [0] * colors
         dirty = self.watch
         moved = g.full ^ self.full
         if moved:
@@ -73,24 +77,6 @@ class _SparePairs:
                     tree[chi] += d
                     chi += chi & -chi
         dirty.clear()
-
-    def _rebuild(self, st: ColoringState, full: set[int]) -> None:
-        self.watch = st.watch = set()
-        self.full = set(full)
-        sizes = list(map(len, st.classes))
-        for v in self.full:
-            chi = st.phi[v]
-            if chi is not None:
-                sizes[chi] -= 1
-        self.weights = [k * (k - 1) // 2 for k in sizes]
-        self.total = sum(self.weights)
-        # index 0 holds no color and weighs 0; build in place in O(Δ)
-        tree = self.tree = self.weights[:]
-        size = len(tree)
-        for i in range(1, size):
-            j = i + (i & -i)
-            if j < size:
-                tree[j] += tree[i]
 
     def find(self, r: int) -> int:
         """The least color whose weight prefix sum exceeds r, 0 <= r < total."""

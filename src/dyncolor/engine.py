@@ -15,6 +15,7 @@ sets.  The naive path is metered as the one neighborhood scan it models.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -76,7 +77,7 @@ class CostMeter:
     def total_ops(self) -> int:
         return self.color_trials + self.class_scans + self.palette_probes + self.recolorings
 
-    def snapshot(self) -> tuple[int, int, int, int, int, int]:
+    def snapshot(self) -> tuple[int, int, int, int, int, int, int]:
         """The per-update counts, in CostReport field order."""
         return (
             self.color_trials,
@@ -85,6 +86,7 @@ class CostMeter:
             self.recolorings,
             self.sparse_recolors,
             self.steals,
+            self.restarts,
         )
 
 
@@ -96,8 +98,8 @@ class CostReport:
     recolorings: int
     sparse_recolors: int
     steals: int
-    # a retry cap tripped and the phase was recolored inside this update
-    restarted: bool = False
+    # 1 when a retry cap tripped and the phase was recolored inside this update
+    restarts: int
 
 
 @dataclass
@@ -195,25 +197,25 @@ class Engine:
     # public surface
 
     def apply(self, update: Update) -> CostReport:
-        if update.op not in ("+", "-"):
+        if update.op == "+":
+            handle, check = self._handle_insert, self.g.check_insert
+        elif update.op == "-":
+            handle, check = self._handle_delete, self.g.check_delete
+        else:
             raise ValueError(f"unknown op {update.op!r}")
         if self.mode == "phased" and self.phase.counter >= self.phase.t:
+            # an update the graph refuses must not start the phase it is due
+            check(update.u, update.v)
             self._start_phase()
         before = self.meter.snapshot()
-        restarted = False
         try:
-            if update.op == "+":
-                self._handle_insert(update.u, update.v)
-            else:
-                self._handle_delete(update.u, update.v)
+            handle(update.u, update.v)
         except PhaseRestart:
             self.meter.restarts += 1
-            restarted = True
             self._start_phase()
         self.phase.counter += 1
         self.updates_applied += 1
-        delta = (a - b for a, b in zip(self.meter.snapshot(), before))
-        return CostReport(*delta, restarted=restarted)
+        return CostReport(*map(operator.sub, self.meter.snapshot(), before))
 
     def snapshot(self) -> dict:
         return {
@@ -291,20 +293,13 @@ class Engine:
             return r + 1
         return palette.sample(self.rng)
 
-    def holders_among(
-        self,
-        chi: int,
-        nbrs: set[int] | frozenset[int],
-        also: set[int] | frozenset[int] = frozenset(),
-    ) -> set[int]:
-        """The holders of chi that lie in nbrs or in also, as C-level set
-        intersections.  Metered as the modelled scan of chi's whole class,
+    def holders_among(self, chi: int, nbrs: set[int] | frozenset[int]) -> set[int]:
+        """The holders of chi that lie in nbrs, as one C-level set
+        intersection.  Metered as the modelled scan of chi's whole class,
         one class scan per member, whichever set CPython iterates."""
         cls = self.state.classes[chi]
         self.meter.class_scans += len(cls)
-        held = cls & nbrs
-        held |= cls & also
-        return held
+        return cls & nbrs
 
     def _take(self, chi: int, targets: tuple[int, ...], w: int | None) -> None:
         """Color every target chi.  A holder w of chi has it stolen first
@@ -425,7 +420,7 @@ class Engine:
         if chi in self.state.redundant[ci]:
             return False
         ext = self.decomp.ext
-        return not self.holders_among(chi, ext[u], ext[v])
+        return not self.holders_among(chi, ext[u] | ext[v])
 
     def recolor_matching(self, u: int, v: int) -> None:
         st = self.state

@@ -170,7 +170,8 @@ class DynamicGraph:
         """The edge in slot i, 0 <= i < edge_count, as a (min, max) pair."""
         return self._eu[i], self._ev[i]
 
-    def insert_edge(self, u: int, v: int) -> None:
+    def check_insert(self, u: int, v: int) -> None:
+        """Raise what insert_edge(u, v) would refuse with; change nothing."""
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
@@ -181,6 +182,16 @@ class DynamicGraph:
             raise DegreeCapExceeded(
                 f"inserting {{{u},{v}}} would exceed degree cap {self.delta_cap}"
             )
+
+    def check_delete(self, u: int, v: int) -> None:
+        """Raise what delete_edge(u, v) would refuse with; change nothing."""
+        self._check_vertex(u)
+        self._check_vertex(v)
+        if v not in self.adj[u]:
+            raise MissingEdge(f"edge {{{u},{v}}} not present")
+
+    def insert_edge(self, u: int, v: int) -> None:
+        self.check_insert(u, v)
         self.adj[u].add(v)
         self.adj[v].add(u)
         if len(self.adj[u]) == self.delta_cap:
@@ -194,10 +205,7 @@ class DynamicGraph:
         self._ev.append(v)
 
     def delete_edge(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if v not in self.adj[u]:
-            raise MissingEdge(f"edge {{{u},{v}}} not present")
+        self.check_delete(u, v)
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         self.full.discard(u)

@@ -269,12 +269,14 @@ def check_invariants(
                     Violation("matched-symmetry", f"pair=({u},{w})", "colors differ")
                 )
 
+    phi = state.phi
     for c in decomp.cliques:
         palette = brute_clique_palette(state, c.members)
         for v in sorted(c.members):
             if decomp.part[v] != c.index:
                 continue  # the bound needs v's clique; check_drift reports it
-            lhs = len(palette & brute_palette(g, state, v))
+            # |L(D) cap L(v)|, without building L(v)
+            lhs = len(palette - {phi[u] for u in g.adj[v]})
             bound = state.accounting_lower_bound(v)
             if lhs < bound:
                 out.append(

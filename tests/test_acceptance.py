@@ -82,7 +82,7 @@ def _drive(
     res = drive(eng, stream, sweep_every=sweep_every)
     # a phase restart rewrites the whole coloring inside one apply();
     # per-update recolor maxima only cover regular steps
-    regular = [r for r in res.reports if not r.restarted]
+    regular = [r for r in res.reports if not r.restarts]
     return {
         "label": label,
         "updates": res.applied,

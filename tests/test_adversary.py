@@ -16,6 +16,7 @@ from dyncolor.adversary import (
     matching_attacker,
     oblivious_adversary,
     TraceReader,
+    adversary_stream,
     record_trace,
 )
 from dyncolor.config import Config
@@ -212,6 +213,22 @@ def test_matching_attacker_deletes_inside_clique_without_pairs():
     ci = eng.decomp.part[upd.u]
     assert ci is not None and ci == eng.decomp.part[upd.v]
     assert eng.g.has_edge(upd.u, upd.v)
+
+
+def test_matching_attacker_without_cliques_repeats_the_conflict_stream():
+    # a naive engine has no cliques and no matched pairs, so every step
+    # falls through to the conflict adversary with the same rng
+    edges = random_graph(60, 12, 0.8, seed=1)
+    streams = {}
+    for kind in ("conflict", "matching"):
+        eng = Engine(60, 12, Config(zeta=3), seed=1, mode="naive", initial_edges=edges)
+        assert DecompositionView(eng).clique_count() == 0
+        streams[kind] = []
+        for upd in adversary_stream(kind, eng, 300, seed=1):
+            streams[kind].append(upd)
+            eng.apply(upd)
+    assert streams["matching"] == streams["conflict"]
+    assert {upd.op for upd in streams["conflict"]} == {"+", "-"}
 
 
 def test_matched_pairs_index_matches_a_scan_of_matched():

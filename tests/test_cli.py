@@ -267,6 +267,25 @@ def test_vertex_ids_past_int32_are_refused(tmp_path, capsys, monkeypatch, header
         assert "big.trace:1: " in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (RUN_ADV + ["--zeta", "0"], EXIT_USAGE, "usage error: zeta must be >= 1 or 'auto'"),
+        (["run", "--adversary", "conflict", "--n", "10", "--delta", "10"], EXIT_USAGE,
+         "usage error: need 1 <= delta <= n-1"),
+        (["scaling", "--n-grid", "8,x"], EXIT_USAGE, "usage error: bad --n-grid '8,x'"),
+        (["--help"], EXIT_OK, ""),
+    ],
+    ids=["zeta-zero", "delta-not-below-n", "grid-not-a-number", "help"],
+)
+def test_usage_branches(capsys, argv, code, message):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err.strip() == message
+    if code == EXIT_OK:
+        assert out.startswith("usage: dyncolor")
+
+
 def test_run_adaptive_adversary_smoke(tmp_path):
     out = tmp_path / "adv.json"
     code = main(

@@ -30,6 +30,7 @@ ORACLES = {
     "fuzz_graph",
     "brute_force_sparsity",
     "brute_acd",
+    "brute_palette",
 }
 
 

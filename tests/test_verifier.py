@@ -127,6 +127,41 @@ def test_invariants_flag_matching_deficit():
     assert any(v.kind == "matching" for v in out)
 
 
+def _pair_outside_the_clique(eng):
+    # an unmatched clique member matched to a non-adjacent sparser vertex
+    st, g, part = eng.state, eng.g, eng.decomp.part
+    u = next(v for v in sorted(eng.decomp.cliques[0].members) if st.matched[v] is None)
+    x = next(x for x in range(1, g.n + 1) if part[x] is None and not g.has_edge(u, x))
+    st.matched[u], st.matched[x] = x, u
+
+    def restore():
+        st.matched[u] = st.matched[x] = None
+
+    return restore
+
+
+def _pair_on_two_colors(eng):
+    st = eng.state
+    w = st.matched[min(st.matched_lows)]
+    chi = st.phi[w]
+    st.phi[w] = chi % st.num_colors + 1
+    return lambda: st.phi.__setitem__(w, chi)
+
+
+@pytest.mark.parametrize(
+    "details, corrupt",
+    [("not co-clique", _pair_outside_the_clique), ("colors differ", _pair_on_two_colors)],
+)
+def test_invariants_flag_each_matched_pair_fault(details, corrupt):
+    eng, _ = planted_engine(seed=5)
+    assert eng.verify_now() == []
+    restore = corrupt(eng)
+    out = check_invariants(eng.g, eng.decomp, eng.state, eng.cfg)
+    assert ("matched-symmetry", details) in {(x.kind, x.details) for x in out}
+    restore()
+    assert eng.verify_now() == []
+
+
 def test_sweep_flags_matched_pair_index_drift():
     eng, _ = planted_engine(seed=5)
     lows = eng.state.matched_lows
