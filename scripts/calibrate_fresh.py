@@ -37,9 +37,7 @@ def main() -> None:
                     n, delta, cfg_proto, seed=10_000 + seed, mode="phased",
                     initial_edges=edges,
                 )
-                viols = verify_fresh_properties(
-                    eng.g, eng.decomp, eng.state, eng.cfg
-                )
+                viols = verify_fresh_properties(eng.decomp, eng.state, eng.cfg)
                 ratio = eng.fresh_reports[-1].sparse_trials / (n * log2n**2)
                 worst_trial_ratio = max(worst_trial_ratio, ratio)
                 slacks = sparse_slacks(eng.decomp, eng.state)

@@ -196,8 +196,6 @@ def oblivious_adversary(
         if g.edge_count < target:
             upd = try_insert()
             if upd is None:
-                if not g.edge_count:
-                    break
                 upd = do_delete()
         elif g.edge_count and rng.random() < 0.5:
             upd = do_delete()
@@ -225,7 +223,9 @@ def conflict_adversary(view: AdversaryView, rng: random.Random) -> Update:
     e = view.random_edge(rng)
     if e is not None:
         return Update("-", *e)
-    return _random_insertion(view, rng)
+    # the graph is empty, so every pair can be inserted
+    u, v = rng.sample(range(1, view.n + 1), 2)
+    return Update("+", min(u, v), max(u, v))
 
 
 def matching_attacker(
@@ -245,9 +245,8 @@ def matching_attacker(
     cliques = list(range(decomp_view.clique_count()))
     rng.shuffle(cliques)
     for ci in cliques:
+        # a rebuild gives every member a neighbor inside, so |D| >= 2
         members = decomp_view.members(ci)
-        if len(members) < 2:
-            continue
         for _ in range(16):
             u, v = rng.sample(members, 2)
             if view.has_edge(u, v):
@@ -272,15 +271,6 @@ def adversary_stream(kind: str, eng: Engine, steps: int, seed: int) -> Iterator[
         dview = DecompositionView(eng)
         return (matching_attacker(view, dview, rng) for _ in range(steps))
     raise ValueError(f"unknown adversary {kind!r}")
-
-
-def _random_insertion(view: AdversaryView, rng: random.Random) -> Update:
-    cap = view.delta_cap
-    for _ in range(10000):
-        u, v = rng.sample(range(1, view.n + 1), 2)
-        if not view.has_edge(u, v) and view.degree(u) < cap and view.degree(v) < cap:
-            return Update("+", min(u, v), max(u, v))
-    raise RuntimeError("no valid update exists")
 
 
 # ---------------------------------------------------------------------------

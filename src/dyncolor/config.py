@@ -28,7 +28,7 @@ def _frac(x: Ratio) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
-        # floats only appear from CLI flags; keep a faithful small ratio
+        # the CLI passes Fractions; a float still gets a faithful small ratio
         return Fraction(x).limit_denominator(10**9)
     return Fraction(x)
 

@@ -152,10 +152,10 @@ class Clique:
 
 @dataclass
 class RawPartition:
-    sparse: set[int]
-    # pairwise disjoint; each set is built by inserting its members in
-    # ascending id, so its iteration order, and the anti-edge order refine
-    # derives from it, depends on the member set alone
+    # pairwise disjoint, and every vertex outside them is in the sparse
+    # pool; each set is built by inserting its members in ascending id, so
+    # its iteration order, and the anti-edge order refine derives from it,
+    # depends on the member set alone
     candidates: list[set[int]]
     # per vertex id: its degree, and (on candidate members) its neighbors
     # inside its own candidate; certification and refinement read them
@@ -235,7 +235,6 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
     deg_floor, sim_floor, size_cap = cfg.acd_floors(g.delta_cap)
     deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n + 1)
     intra = np.zeros(g.n + 1, dtype=np.int64)
-    sparse = set(range(1, g.n + 1))
     accepted: list[set[int]] = []
     core = np.flatnonzero(deg >= deg_floor)
     if len(core):
@@ -255,16 +254,14 @@ def compute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
         for root in np.flatnonzero((sizes >= deg_floor) & (sizes <= size_cap)).tolist():
             members = core[label == root]
             if intra[members].min() >= deg_floor:
-                cand = set(members.tolist())
-                accepted.append(cand)
-                sparse -= cand
+                accepted.append(set(members.tolist()))
 
-    return RawPartition(sparse=sparse, candidates=accepted, deg=deg, intra=intra)
+    return RawPartition(candidates=accepted, deg=deg, intra=intra)
 
 
 def certify_sparse_pool(g: DynamicGraph, cfg: Config, raw: RawPartition) -> None:
-    """Raise DecompositionFailed unless every vertex in raw.sparse clears
-    the sparsity floor.
+    """Raise DecompositionFailed unless every vertex of the sparse pool,
+    the vertices in no candidate, clears the sparsity floor.
 
     v is below the floor iff m_v > limit, and m_v <= deg(v)(deg(v)-1)/2,
     so edges inside neighborhoods are counted only when some pooled
@@ -273,9 +270,10 @@ def certify_sparse_pool(g: DynamicGraph, cfg: Config, raw: RawPartition) -> None
     d = g.delta_cap
     floor_val = cfg.sparsity_floor() * d
     limit = math.floor(Fraction(d * (d - 1), 2) - d * floor_val)
-    deg = raw.deg
-    roomy = np.flatnonzero(deg * (deg - 1) // 2 > limit).tolist()
-    suspects = [v for v in roomy if v in raw.sparse]
+    deg = raw.deg[1:]  # slot 0 is no vertex
+    roomy = (np.flatnonzero(deg * (deg - 1) // 2 > limit) + 1).tolist()
+    clustered = set().union(*raw.candidates)
+    suspects = [v for v in roomy if v not in clustered]
     if not suspects:
         return
     m = all_neighborhood_edge_counts(g)

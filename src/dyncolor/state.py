@@ -1,5 +1,6 @@
 """Color assignment plus every indexed view the recolorer samples from;
-figures recomputed from phi alone (sparse slack, class sizes) live in verify.py.
+figures recomputed from phi alone (sparse slack, class sizes, the
+accounting bound) live in verify.py.
 
 All views (global classes, per-clique classes, clique palettes, the
 redundant-color sets) are derived from phi and the frozen partition;
@@ -101,22 +102,6 @@ class ColoringState:
 
     def clique_holders(self, ci: int, chi: int) -> set[int] | frozenset[int]:
         return self.clique_classes[ci].get(chi, NO_HOLDERS)
-
-    def accounting_lower_bound(self, v: int) -> int:
-        """Guaranteed (possibly negative) size of L(D) intersect L(v)."""
-        ci = self.decomp.part[v]
-        assert ci is not None, "accounting bound applies to denser vertices"
-        c = self.decomp.cliques[ci]
-        uncolored = sum(1 for u in c.members if self.phi[u] is None)
-        uncolored += sum(1 for u in self.decomp.ext[v] if self.phi[u] is None)
-        g = self.decomp.g
-        return (
-            g.delta_cap
-            - g.degree(v)
-            + self.matching_size(ci)
-            - self.decomp.a_v(v)
-            + uncolored
-        )
 
     # -- serialization ------------------------------------------------------
 

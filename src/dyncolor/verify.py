@@ -3,7 +3,8 @@
 Everything here recomputes from the graph and phi alone, never trusting
 the engine's incremental views; the sweeps are what the acceptance runs
 execute after every update (or at phase boundaries for large n).  The
-sparse palettes, slacks and class sizes are computed here and nowhere else.
+sparse palettes, slacks and class sizes and the accounting bound are
+computed here and nowhere else.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import C_BAL, SLACK_COEFF, Config, ceil_log2
-from .decomposition import Decomposition, RawPartition, check_drift
+from .decomposition import Clique, Decomposition, RawPartition, check_drift
 from .graph import DynamicGraph
 from .report import Violation
 from .state import ColoringState
@@ -32,17 +33,15 @@ def brute_force_sparsity(g: DynamicGraph, v: int) -> Fraction:
     return Fraction(d * (d - 1) // 2 - m, d)
 
 
-def brute_partition(
-    g: DynamicGraph, sparse: set[int], candidates: list[set[int]]
-) -> RawPartition:
-    """A RawPartition of the given parts, with its degree arrays counted
-    from the adjacency sets."""
+def brute_partition(g: DynamicGraph, candidates: list[set[int]]) -> RawPartition:
+    """A RawPartition of the given candidates, with its degree arrays
+    counted from the adjacency sets."""
     deg = np.array([len(a) for a in g.adj], dtype=np.int64)
     intra = np.zeros(g.n + 1, dtype=np.int64)
     for cand in candidates:
         for v in cand:
             intra[v] = len(g.adj[v] & cand)
-    return RawPartition(sparse=sparse, candidates=candidates, deg=deg, intra=intra)
+    return RawPartition(candidates=candidates, deg=deg, intra=intra)
 
 
 def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
@@ -59,7 +58,6 @@ def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
         ]
 
     seen: set[int] = set()
-    sparse = set(range(1, g.n + 1))
     accepted: list[set[int]] = []
     for start in sorted(core):
         if start in seen:
@@ -74,8 +72,7 @@ def brute_acd(g: DynamicGraph, cfg: Config) -> RawPartition:
             len(g.adj[v] & comp) >= deg_floor for v in comp
         ):
             accepted.append(comp)
-            sparse -= comp
-    return brute_partition(g, sparse, accepted)
+    return brute_partition(g, accepted)
 
 
 def brute_palette(g: DynamicGraph, state: ColoringState, v: int) -> set[int]:
@@ -115,33 +112,22 @@ def sparse_class_sizes(state: ColoringState) -> list[int]:
 # sweeps
 
 
-def check_proper_fast(g: DynamicGraph, state: ColoringState) -> list[Violation]:
-    """Vectorized propriety sweep; falls back to the slow scan only to
-    describe a violation once one is detected."""
+def check_proper(g: DynamicGraph, state: ColoringState) -> list[Violation]:
+    """Every vertex colored, and every edge's ends colored differently:
+    uncolored vertices in id order, then monochromatic edges in slot
+    order, found in two numpy passes over phi."""
     # uncolored (None) becomes NaN, which equals nothing
     phi = np.array(state.phi, dtype=np.float64)
-    if np.isnan(phi[1:]).any():
-        return check_proper(g, state)
-    if g.edge_count:
-        eu = np.frombuffer(g._eu, dtype=np.int32)
-        ev = np.frombuffer(g._ev, dtype=np.int32)
-        if (phi[eu] == phi[ev]).any():
-            return check_proper(g, state)
-    return []
-
-
-def check_proper(g: DynamicGraph, state: ColoringState) -> list[Violation]:
-    """Every edge bi-colored with distinct colors; every vertex colored."""
-    out: list[Violation] = []
-    phi = state.phi
-    for v in range(1, g.n + 1):
-        if phi[v] is None:
-            out.append(Violation("propriety", f"v={v}", "uncolored vertex"))
-    for u, v in g.edges():
-        if phi[u] is not None and phi[u] == phi[v]:
-            out.append(
-                Violation("propriety", f"edge={{{u},{v}}}", f"both colored {phi[u]}")
-            )
+    out = [
+        Violation("propriety", f"v={v}", "uncolored vertex")
+        for v in (np.flatnonzero(np.isnan(phi[1:])) + 1).tolist()
+    ]
+    eu = np.frombuffer(g._eu, dtype=np.int32)
+    ev = np.frombuffer(g._ev, dtype=np.int32)
+    for i in np.flatnonzero(phi[eu] == phi[ev]).tolist():
+        u, v = g.edge_at(i)
+        chi = state.phi[u]
+        out.append(Violation("propriety", f"edge={{{u},{v}}}", f"both colored {chi}"))
     return out
 
 
@@ -229,7 +215,7 @@ def check_matching(decomp: Decomposition, state: ColoringState) -> list[Violatio
 
 
 def verify_fresh_properties(
-    g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
+    decomp: Decomposition, state: ColoringState, cfg: Config
 ) -> list[Violation]:
     """Slack, balance and matching checks on a completed fresh coloring."""
     return (
@@ -240,8 +226,32 @@ def verify_fresh_properties(
     )
 
 
+def accounting_bounds(
+    decomp: Decomposition, state: ColoringState, c: Clique
+) -> dict[int, int]:
+    """Each member's guaranteed (possibly negative) |L(D) cap L(v)|.
+
+    L(D) keeps delta_cap + 1 - |D| + |M_D| + (uncolored members) colors,
+    one base per clique, and each colored external neighbor of v removes
+    at most one.  This is delta_cap - deg(v) + |M_D| - a_v + (uncolored
+    members and external neighbors), with deg(v) cancelled through
+    a_v = |D| - 1 - deg(v) + e_v.
+    """
+    phi = state.phi
+    base = (
+        decomp.g.delta_cap
+        + 1
+        - len(c.members)
+        + state.matching_size(c.index)
+        + sum(1 for u in c.members if phi[u] is None)
+    )
+    return {
+        v: base - sum(1 for u in decomp.ext[v] if phi[u] is not None) for v in c.members
+    }
+
+
 def check_invariants(
-    g: DynamicGraph, decomp: Decomposition, state: ColoringState, cfg: Config
+    g: DynamicGraph, decomp: Decomposition, state: ColoringState
 ) -> list[Violation]:
     """Dense Balance, Matching, matched-array sanity, accounting bound."""
     out = check_dense_balance(decomp, state) + check_matching(decomp, state)
@@ -272,15 +282,15 @@ def check_invariants(
     phi = state.phi
     for c in decomp.cliques:
         palette = brute_clique_palette(state, c.members)
+        bounds = accounting_bounds(decomp, state, c)
         for v in sorted(c.members):
             if decomp.part[v] != c.index:
-                continue  # the bound needs v's clique; check_drift reports it
+                continue  # a member outside its clique is check_drift's to report
             # |L(D) cap L(v)|, without building L(v)
             lhs = len(palette - {phi[u] for u in g.adj[v]})
-            bound = state.accounting_lower_bound(v)
-            if lhs < bound:
+            if lhs < bounds[v]:
                 out.append(
-                    Violation("accounting", f"v={v}", f"|L(D) cap L(v)|={lhs} < {bound}")
+                    Violation("accounting", f"v={v}", f"|L(D) cap L(v)|={lhs} < {bounds[v]}")
                 )
     return out
 
@@ -291,9 +301,11 @@ def check_all(
     state: ColoringState,
     cfg: Config,
 ) -> list[Violation]:
+    """The whole sweep.  No check in it reads cfg; it takes an engine's
+    four parts so that a caller can pass them as they are."""
     return (
-        check_proper_fast(g, state)
-        + check_invariants(g, decomp, state, cfg)
+        check_proper(g, state)
+        + check_invariants(g, decomp, state)
         + check_view_consistency(decomp, state)
         + check_drift(decomp)
     )

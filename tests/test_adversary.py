@@ -106,6 +106,25 @@ def test_conflict_adversary_falls_back_to_deletion():
     assert eng.g.has_edge(upd.u, upd.v)
 
 
+def test_conflict_adversary_inserts_into_an_empty_graph():
+    # two vertices under cap 1: once the first insert splits their colors,
+    # no pair shares a color, so every step on the empty graph (3, 5 and
+    # 7) draws one pair to insert, and every other step deletes the edge
+    eng = Engine(2, 1, Config(), seed=0)
+    view, rng = AdversaryView(eng), random.Random(5)
+    stream, on_empty = [], []
+    for step in range(1, 9):
+        if not eng.g.edge_count and eng.state.phi[1] != eng.state.phi[2]:
+            on_empty.append(step)
+        upd = conflict_adversary(view, rng)
+        eng.apply(upd)
+        stream.append(f"{upd.op} {upd.u} {upd.v}")
+    assert stream == ["+ 1 2", "- 1 2"] * 4
+    assert on_empty == [3, 5, 7]
+    # the stream's draws are pinned through the next one
+    assert rng.random() == 0.5739411879281008
+
+
 def _pool_conflict_adversary(eng: Engine, rng: random.Random) -> Update:
     """Reference: the pool-building conflict adversary, which reads every
     color class and every member's degree on each step."""
@@ -229,6 +248,14 @@ def test_matching_attacker_without_cliques_repeats_the_conflict_stream():
             eng.apply(upd)
     assert streams["matching"] == streams["conflict"]
     assert {upd.op for upd in streams["conflict"]} == {"+", "-"}
+
+
+def test_adversary_stream_oblivious_is_the_seeded_walk_and_unknown_kinds_fail():
+    eng = Engine(30, 8, Config(), seed=1)
+    stream = list(adversary_stream("oblivious", eng, 50, seed=7))
+    assert stream == oblivious_adversary(30, 8, 50, 0.5, 7)
+    with pytest.raises(ValueError, match="unknown adversary 'greedy'"):
+        adversary_stream("greedy", eng, 50, seed=7)
 
 
 def test_matched_pairs_index_matches_a_scan_of_matched():

@@ -22,6 +22,7 @@ from dyncolor.cli import (
 )
 from dyncolor.config import Config, auto_zeta
 from dyncolor.engine import Engine, InlierPaletteEmpty
+from dyncolor.report import Violation, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,22 @@ def test_run_trace_not_utf8_is_trace_error(tmp_path, capsys, body, line):
     assert "Traceback" not in err
 
 
+def test_run_trace_header_not_integers_is_trace_error(tmp_path, capsys):
+    p = tmp_path / "hdr.trace"
+    p.write_text("3 x\n")
+    assert main(["run", "--trace", str(p)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"trace error: {p}:1: bad header '3 x'\n"
+
+
+def test_run_trace_skips_blank_lines(tmp_path):
+    p = tmp_path / "gap.trace"
+    p.write_text("6 3\n+ 1 2\n\n+ 2 3\n")
+    out = tmp_path / "m.json"
+    assert main(["run", "--trace", str(p), "--verify", "every", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["updates"] == 2 and doc["violations"]["count"] == 0
+
+
 RUN_ADV = ["run", "--adversary", "conflict", "--n", "20", "--delta", "4"]
 
 
@@ -284,6 +301,32 @@ def test_usage_branches(capsys, argv, code, message):
     assert err.strip() == message
     if code == EXIT_OK:
         assert out.startswith("usage: dyncolor")
+
+
+def test_run_zero_steps_aggregates_to_zero(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(RUN_ADV + ["--steps", "0", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["updates"] == 0
+    assert doc["per_update"] == {
+        key: {"mean": 0.0, "median": 0.0, "max": 0}
+        for key in ("class_scans", "color_trials", "palette_probes")
+    }
+
+
+def test_run_without_out_prints_the_metrics(capsys):
+    assert main(RUN_ADV + ["--steps", "5", "--seed", "1"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["schema"] == "dyncolor-metrics/1" and doc["updates"] == 5
+    assert err == ""
+
+
+def test_summarize_ends_with_what_it_leaves_out():
+    violations = [Violation("propriety", f"v={v}", "uncolored vertex") for v in range(1, 13)]
+    lines = summarize(violations, limit=10).splitlines()
+    assert lines[:10] == [f"propriety @ v={v}: uncolored vertex" for v in range(1, 11)]
+    assert lines[10:] == ["... and 2 more"]
 
 
 def test_run_adaptive_adversary_smoke(tmp_path):

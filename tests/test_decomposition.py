@@ -22,7 +22,7 @@ from dyncolor.decomposition import (
 )
 from dyncolor.graph import DynamicGraph
 from dyncolor.instances import fuzz_graph, mixed_graph, planted_clique_graph, random_graph
-from dyncolor.verify import brute_acd, brute_force_sparsity, brute_partition
+from dyncolor.verify import brute_acd, brute_force_sparsity
 
 from conftest import build_graph, dense_cfg, kernel_sparsity
 
@@ -100,7 +100,6 @@ def test_acd_disjoint_cliques():
     n, edges = _complete_blocks(3, delta + 1)
     g = build_graph(n, delta, edges)
     raw = compute_acd(g, dense_cfg())
-    assert raw.sparse == set()
     assert len(raw.candidates) == 3
     assert sorted(map(len, raw.candidates)) == [21, 21, 21]
 
@@ -113,7 +112,6 @@ def test_acd_floors_are_inclusive():
     n, edges = _complete_blocks(3, delta)
     g = build_graph(n, delta, edges)
     raw = compute_acd(g, dense_cfg())
-    assert raw.sparse == set()
     assert raw.candidates == [set(range(1, 9)), set(range(9, 17)), set(range(17, 25))]
 
 
@@ -130,7 +128,6 @@ def test_acd_bipartite_all_sparse():
     cfg = dense_cfg()
     raw = compute_acd(g, cfg)
     assert raw.candidates == []
-    assert raw.sparse == set(range(1, n + 1))
     floor_val = cfg.sparsity_floor() * delta
     for v in range(1, n + 1):
         assert brute_force_sparsity(g, v) >= floor_val
@@ -164,7 +161,6 @@ def test_acd_certify_failure():
     # the clustering alone degrades to an all-sparse pool
     raw = compute_acd(g, cfg)
     assert raw.candidates == []
-    assert raw.sparse == set(range(1, n + 1))
     with pytest.raises(DecompositionFailed, match=r"^21 .* \(first: \[1, 2, 3, 4, 5\]\)$"):
         certify_sparse_pool(g, cfg, raw)
 
@@ -187,13 +183,14 @@ def test_certify_counts_only_vertices_the_degree_bound_admits(monkeypatch):
     cfg = dense_cfg()
     assert brute_force_sparsity(g, 1) == Fraction(delta - 1, 2) >= cfg.sparsity_floor() * delta
     raw = compute_acd(g, cfg)
-    assert raw.sparse == set(range(1, 11))
+    assert raw.candidates == []
     certify_sparse_pool(g, cfg, raw)
     assert calls == [10]
-    certify_sparse_pool(g, cfg, dataclasses.replace(raw, sparse=raw.sparse - {1}))
+    # the centre in a candidate leaves no pooled vertex to count
+    certify_sparse_pool(g, cfg, dataclasses.replace(raw, candidates=[{1}]))
     g.delete_edge(1, delta + 1)
     raw = compute_acd(g, cfg)
-    assert raw.sparse == set(range(1, 11))
+    assert raw.candidates == []
     certify_sparse_pool(g, cfg, raw)
     assert calls == [10]
 
@@ -246,7 +243,7 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps, permuted):
     cfg = Config(epsilon=eps, zeta=1)
     raw = compute_acd(g, cfg)
     brute = brute_acd(g, cfg)
-    assert raw == brute  # same sparse set, same candidates in order
+    assert raw == brute  # same candidates in order
     # members are inserted in ascending id, which fixes the iteration
     # order the anti-edge sampling inherits
     assert all(list(c) == list(set(sorted(c))) for c in raw.candidates)
@@ -256,7 +253,8 @@ def test_acd_and_edge_counts_match_set_oracles(kind, seed, eps, permuted):
     assert kernel_sparsity(g) == [brute_force_sparsity(g, v) for v in range(1, n + 1)]
     # certification fails exactly when some pooled vertex is below the floor
     floor_val = cfg.sparsity_floor() * cap
-    below = [v for v in sorted(raw.sparse) if brute_force_sparsity(g, v) < floor_val]
+    pooled = set(range(1, n + 1)).difference(*raw.candidates)
+    below = [v for v in sorted(pooled) if brute_force_sparsity(g, v) < floor_val]
     if below:
         message = f"{len(below)} unclustered vertices below the sparsity floor (first: {below[:5]})"
         with pytest.raises(DecompositionFailed, match=f"^{re.escape(message)}$"):
@@ -294,7 +292,6 @@ def test_acd_second_round_joins_what_smallest_neighbors_miss():
     cfg = dense_cfg()
     raw = compute_acd(g, cfg)
     assert raw.candidates == [set(range(1, 9)), set(range(9, 17))]
-    assert raw.sparse == set()
     assert raw == brute_acd(g, cfg)
 
 
@@ -337,10 +334,6 @@ def test_acd_popcounts_few_core_pairs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # refinement
-
-
-def _raw_single(members, sparse, g, cfg):
-    return brute_partition(g, set(sparse), [set(members)])
 
 
 def test_refine_keeps_tight_clique():

@@ -763,7 +763,7 @@ def test_in_regime_rebuilds_pass_every_decomposition_rule(monkeypatch, adversary
     def check_rebuild():
         assert eng.decomp.cliques
         assert validate_decomposition(eng.decomp, eng.g, cfg) == []
-        assert verify_fresh_properties(eng.g, eng.decomp, eng.state, cfg) == []
+        assert verify_fresh_properties(eng.decomp, eng.state, cfg) == []
         assert eng.verify_now() == []
 
     start_phase = eng._start_phase

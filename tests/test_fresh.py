@@ -17,7 +17,7 @@ def test_fresh_on_edgeless_graph():
     eng = Engine(40, 10, dense_cfg(zeta=2), seed=1, mode="phased", strict=True)
     assert all(c is not None for c in eng.state.phi[1:])
     assert eng.verify_now() == []
-    assert verify_fresh_properties(eng.g, eng.decomp, eng.state, eng.cfg) == []
+    assert verify_fresh_properties(eng.decomp, eng.state, eng.cfg) == []
 
 
 def test_fresh_single_complete_clique_distinct_colors():
@@ -43,7 +43,7 @@ def test_fresh_mixed_instance_properties_pass():
         n, delta, Config(epsilon=Fraction(1, 8), zeta=4), seed=3,
         mode="phased", initial_edges=edges, strict=True,
     )
-    assert verify_fresh_properties(eng.g, eng.decomp, eng.state, eng.cfg) == []
+    assert verify_fresh_properties(eng.decomp, eng.state, eng.cfg) == []
     assert eng.verify_now() == []
 
 
@@ -150,7 +150,7 @@ def test_fresh_detects_corrupted_dense_balance():
     st.set_color(others[1], chi)
     kinds = {
         v.kind
-        for v in verify_fresh_properties(eng.g, eng.decomp, st, eng.cfg)
+        for v in verify_fresh_properties(eng.decomp, st, eng.cfg)
     }
     assert "dense-balance" in kinds
 

@@ -8,6 +8,7 @@ from dyncolor.graph import DynamicGraph
 from dyncolor.instances import planted_clique_graph
 from dyncolor.state import ColorOutOfRange, ColoringState
 from dyncolor.verify import (
+    accounting_bounds,
     brute_clique_palette,
     brute_palette,
     brute_partition,
@@ -131,7 +132,7 @@ def _k5_state(missing_edge=None):
     cfg = dense_cfg()
     # hand-built partition: the degree floor of the clustering heuristic
     # cannot recover near-cliques this small
-    raw = brute_partition(g, set(), [set(range(1, 6))])
+    raw = brute_partition(g, [set(range(1, 6))])
     d = refine_to_sparser_denser(raw, g, cfg)
     assert len(d.cliques) == 1
     return g, d, ColoringState(d)
@@ -142,7 +143,7 @@ def test_accounting_complete_clique():
     for v, chi in ((1, 1), (2, 2), (3, 3), (4, 4)):
         st_.set_color(v, chi)
     v = 5
-    bound = st_.accounting_lower_bound(v)
+    bound = accounting_bounds(d, st_, d.cliques[0])[v]
     assert bound == 1  # 4 - 4 + 0 - 0 + 1
     lhs = brute_clique_palette(st_, d.cliques[0].members) & brute_palette(g, st_, v)
     assert len(lhs) == 1
@@ -156,7 +157,7 @@ def test_accounting_with_matched_pair():
     st_.set_color(4, 2)
     st_.set_color(5, 3)
     v = 3
-    bound = st_.accounting_lower_bound(v)
+    bound = accounting_bounds(d, st_, d.cliques[0])[v]
     assert st_.matching_size(0) == 1
     assert bound == 2  # 4 - 4 + 1 - 0 + 1
     lhs = brute_clique_palette(st_, d.cliques[0].members) & brute_palette(g, st_, v)
@@ -175,7 +176,7 @@ def test_accounting_bound_sound_on_random_states():
             brute_clique_palette(st_, d.cliques[0].members)
             & brute_palette(g, st_, u)
         )
-        assert lhs >= st_.accounting_lower_bound(u)
+        assert lhs >= accounting_bounds(d, st_, d.cliques[0])[u]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncolor.config import SLACK_COEFF, Config
+from dyncolor.decomposition import Decomposition
 from dyncolor.instances import fuzz_graph
+from dyncolor.report import Violation
+from dyncolor.state import ColoringState
 from dyncolor.verify import (
     brute_force_sparsity,
     check_balance,
     check_invariants,
     check_proper,
-    check_proper_fast,
+    check_sparse_slack,
+    sparse_slacks,
     verify_fresh_properties,
 )
 
@@ -43,26 +49,29 @@ def test_proper_flags_monochromatic_edge():
 
 
 def test_proper_fast_agrees_with_slow():
+    # the numpy sweep lists what a plain scan does: uncolored vertices in
+    # id order, then monochromatic edges in slot order
     rng = random.Random(11)
     for trial in range(60):
         n = rng.randint(2, 30)
         edges, cap = fuzz_graph(n, seed=trial)
         g = build_graph(n, cap, edges)
-        from dyncolor.decomposition import Decomposition
-        from dyncolor.state import ColoringState
-
         state = ColoringState(Decomposition(g))
         for v in range(1, n + 1):
             state.set_color(
                 v, rng.choice([None] + list(range(1, cap + 2)))
             )
-        slow = check_proper(g, state)
-        fast = check_proper_fast(g, state)
-        assert bool(slow) == bool(fast)
-        if slow:
-            assert sorted(v.location for v in slow) == sorted(
-                v.location for v in fast
-            )
+        phi = state.phi
+        scan = [
+            Violation("propriety", f"v={v}", "uncolored vertex")
+            for v in range(1, n + 1)
+            if phi[v] is None
+        ] + [
+            Violation("propriety", f"edge={{{u},{v}}}", f"both colored {phi[u]}")
+            for u, v in g.edges()
+            if phi[u] is not None and phi[u] == phi[v]
+        ]
+        assert check_proper(g, state) == scan
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +80,7 @@ def test_proper_fast_agrees_with_slow():
 
 def test_invariants_clean_after_build():
     eng, _ = planted_engine(seed=5)
-    assert check_invariants(eng.g, eng.decomp, eng.state, eng.cfg) == []
+    assert check_invariants(eng.g, eng.decomp, eng.state) == []
 
 
 def test_invariants_flag_matched_asymmetry():
@@ -82,7 +91,7 @@ def test_invariants_flag_matched_asymmetry():
         if w is not None and u < w
     )
     eng.state.matched[pair[1]] = None  # break symmetry by hand
-    kinds = {v.kind for v in check_invariants(eng.g, eng.decomp, eng.state, eng.cfg)}
+    kinds = {v.kind for v in check_invariants(eng.g, eng.decomp, eng.state)}
     assert "matched-symmetry" in kinds
 
 
@@ -98,7 +107,7 @@ def test_invariants_flag_adjacent_matched_pair():
         and st_.matched[b] is None
     )
     st_.matched[u], st_.matched[w] = w, u
-    kinds = {v.kind for v in check_invariants(eng.g, eng.decomp, st_, eng.cfg)}
+    kinds = {v.kind for v in check_invariants(eng.g, eng.decomp, st_)}
     assert "matched-symmetry" in kinds
 
 
@@ -110,7 +119,7 @@ def test_invariants_flag_three_holders():
     extra = [v for v in members if st_.phi[v] != chi][:2]
     for v in extra:
         st_.set_color(v, chi)
-    kinds = {v.kind for v in check_invariants(eng.g, eng.decomp, st_, eng.cfg)}
+    kinds = {v.kind for v in check_invariants(eng.g, eng.decomp, st_)}
     assert "dense-balance" in kinds
 
 
@@ -123,7 +132,7 @@ def test_invariants_flag_matching_deficit():
     w = st_.matched[u]
     st_.unmatch(u)
     st_.set_color(w, None)  # drop the duplicate holder too
-    out = check_invariants(eng.g, eng.decomp, st_, eng.cfg)
+    out = check_invariants(eng.g, eng.decomp, st_)
     assert any(v.kind == "matching" for v in out)
 
 
@@ -156,7 +165,7 @@ def test_invariants_flag_each_matched_pair_fault(details, corrupt):
     eng, _ = planted_engine(seed=5)
     assert eng.verify_now() == []
     restore = corrupt(eng)
-    out = check_invariants(eng.g, eng.decomp, eng.state, eng.cfg)
+    out = check_invariants(eng.g, eng.decomp, eng.state)
     assert ("matched-symmetry", details) in {(x.kind, x.details) for x in out}
     restore()
     assert eng.verify_now() == []
@@ -286,11 +295,31 @@ def test_balance_flags_overfull_sparse_class():
         st_.set_color(v, 1)
     for out in (
         check_balance(st_, eng.cfg),
-        verify_fresh_properties(eng.g, eng.decomp, st_, eng.cfg),
+        verify_fresh_properties(eng.decomp, st_, eng.cfg),
     ):
         flagged = [v for v in out if v.kind == "sparse-balance"]
         assert [v.location for v in flagged] == ["chi=1"]
         assert flagged[0].details.startswith(f"{len(sparse)} > ")
+
+
+def test_slack_flags_a_sparser_vertex_below_its_floor():
+    # vertex 83's 14 sparser neighbors hold 13 colors (95 and 140 share
+    # 46), so its slack is 81 - 13 = 68, the least of any sparser vertex.
+    # A floor of SLACK_COEFF * gamma * zeta = 3 * 1/3 * 68 clears every
+    # vertex until 95 takes color 2, which no sparser neighbor of 83 holds
+    eng, _ = planted_engine(seed=5)
+    st_ = eng.state
+    cfg = Config(epsilon=eng.cfg.epsilon, zeta=68, gamma=Fraction(1, 3))
+    assert SLACK_COEFF * cfg.gamma * cfg.zeta == 68
+    slacks = sparse_slacks(eng.decomp, st_)
+    assert slacks[83] == min(slacks.values()) == 68
+    assert st_.phi[95] == st_.phi[140] == 46
+    assert check_sparse_slack(eng.decomp, st_, cfg) == []
+    st_.set_color(95, 2)
+    want = [Violation("sparse-slack", "v=83", "67 < 68")]
+    assert check_sparse_slack(eng.decomp, st_, cfg) == want
+    fresh = verify_fresh_properties(eng.decomp, st_, cfg)
+    assert [v for v in fresh if v.kind == "sparse-slack"] == want
 
 
 # ---------------------------------------------------------------------------
